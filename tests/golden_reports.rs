@@ -1,0 +1,251 @@
+//! Golden per-job reports of three seeded fleets, pinned exactly.
+//!
+//! Each fleet runs three ways:
+//!
+//! * `Clocked` and `Parallel { shards: 2 }` as configured — a mix of termination
+//!   strategies, so some batches cancel mid-flight and hand their leases over;
+//! * `EndOfTime` with termination off, once per [`VerificationStrategy`].
+//!
+//! Every job pins its accuracy, cost, mean answers used, HIT count and a fingerprint of
+//! its verdicts. The figures were recorded once and must not move: a change to the
+//! scheduler loop or to the phase-2 collector that alters any line is a behaviour
+//! change, not a refactor.
+
+use cdas::core::online::TerminationStrategy::{ExpMax, MinExp, MinMax};
+use cdas::crowd::distribution::AccuracyDistribution;
+use cdas::fixtures::demo_questions;
+use cdas::prelude::*;
+
+/// One seeded fleet: a crowd plus `(real, gold, workers, batch, termination)` per job.
+struct Case {
+    pool: usize,
+    accuracy: AccuracyDistribution,
+    seed: u64,
+    latency_mean: f64,
+    jobs: Vec<(u64, u64, usize, usize, Option<TerminationStrategy>)>,
+}
+
+fn cases() -> Vec<Case> {
+    vec![
+        Case {
+            pool: 14,
+            accuracy: AccuracyDistribution::Constant(0.85),
+            seed: 11,
+            latency_mean: 5.0,
+            jobs: vec![
+                (9, 3, 5, 4, Some(ExpMax)),
+                (8, 2, 4, 3, None),
+                (7, 2, 3, 5, Some(MinMax)),
+                (6, 2, 5, 3, Some(MinExp)),
+            ],
+        },
+        Case {
+            pool: 24,
+            accuracy: AccuracyDistribution::Uniform { lo: 0.55, hi: 0.95 },
+            seed: 2024,
+            latency_mean: 7.0,
+            jobs: vec![
+                (12, 3, 7, 5, None),
+                (10, 4, 5, 7, Some(ExpMax)),
+                (9, 0, 5, 4, Some(MinMax)),
+            ],
+        },
+        Case {
+            pool: 18,
+            accuracy: AccuracyDistribution::Constant(0.7),
+            seed: 99,
+            latency_mean: 3.0,
+            jobs: vec![
+                (10, 2, 7, 6, Some(MinExp)),
+                (8, 3, 3, 4, None),
+                (11, 2, 5, 5, Some(ExpMax)),
+                (5, 1, 7, 3, None),
+            ],
+        },
+    ]
+}
+
+/// The case's fleet. `offline` overrides every job's verification strategy and turns
+/// termination off.
+fn fleet(case: &Case, offline: Option<VerificationStrategy>) -> Fleet {
+    let crowd = CrowdSpec::clean(case.pool, 0.8)
+        .accuracy(case.accuracy.clone())
+        .seed(case.seed)
+        .latency(LatencyModel::Exponential {
+            mean: case.latency_mean,
+        });
+    let mut builder = Fleet::builder().crowd(crowd).scheduler_seed(case.seed + 1);
+    for (i, &(real, gold, workers, batch, termination)) in case.jobs.iter().enumerate() {
+        let mut job = JobSpec::sentiment(format!("job-{i}"), demo_questions(real, gold))
+            .workers(workers)
+            .batch_size(batch)
+            .domain_size(3);
+        job = match (offline, termination) {
+            (Some(verification), _) => job.verification(verification).no_termination(),
+            (None, Some(strategy)) => job.termination(strategy),
+            (None, None) => job.no_termination(),
+        };
+        builder = builder.job(job);
+    }
+    builder.build().expect("every case is feasible")
+}
+
+/// FNV-1a over one job's real verdicts in question order: question, accepted label,
+/// confidence bits and answers used.
+fn fingerprint(run: &FleetRun, job: JobId) -> u64 {
+    let mut verdicts: Vec<(u64, String, u64, usize)> = run
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            FleetEvent::QuestionTerminated {
+                job: owner,
+                question,
+                verdict,
+                answers_used,
+                ..
+            } if *owner == job => Some(match verdict {
+                Verdict::Accepted { label, confidence } => (
+                    question.0,
+                    label.as_str().to_string(),
+                    confidence.to_bits(),
+                    *answers_used,
+                ),
+                Verdict::NoAnswer => (question.0, String::new(), 0, *answers_used),
+            }),
+            _ => None,
+        })
+        .collect();
+    verdicts.sort();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (question, label, confidence, used) in &verdicts {
+        feed(&question.to_le_bytes());
+        feed(label.as_bytes());
+        feed(&[0xff]);
+        feed(&confidence.to_le_bytes());
+        feed(&(*used as u64).to_le_bytes());
+    }
+    hash
+}
+
+/// One line per job: `case/mode/job acc=… cost=… answers=… hits=… verdicts=…`.
+fn lines(case_index: usize, mode: &str, run: &FleetRun) -> Vec<String> {
+    run.report()
+        .jobs
+        .iter()
+        .map(|job| {
+            format!(
+                "{case_index}/{mode}/{} acc={:?} cost={:?} answers={:?} hits={} verdicts={:016x}",
+                job.job.0,
+                job.report.accuracy,
+                job.report.cost,
+                job.report.mean_answers_used,
+                job.hits,
+                fingerprint(run, job.job),
+            )
+        })
+        .collect()
+}
+
+fn actual_table() -> Vec<String> {
+    let mut table = Vec::new();
+    for (i, case) in cases().iter().enumerate() {
+        let configured = fleet(case, None);
+        let clocked = configured.run(ExecutionMode::Clocked).unwrap();
+        table.extend(lines(i, "clocked", &clocked));
+        let parallel = configured
+            .run(ExecutionMode::Parallel { shards: 2 })
+            .unwrap();
+        table.extend(lines(i, "parallel2", &parallel));
+        for verification in VerificationStrategy::ALL {
+            let run = fleet(case, Some(verification))
+                .run(ExecutionMode::EndOfTime)
+                .unwrap();
+            table.extend(lines(i, &format!("eot-{}", verification.name()), &run));
+        }
+    }
+    table
+}
+
+const GOLDEN: &str = "\
+0/clocked/0 acc=1.0 cost=0.09900000000000003 answers=2.2222222222222223 hits=3 verdicts=0f68b90bfb643f53\n\
+0/clocked/1 acc=0.75 cost=0.17600000000000013 answers=4.0 hits=4 verdicts=8f364085952bf965\n\
+0/clocked/2 acc=1.0 cost=0.055 answers=2.142857142857143 hits=2 verdicts=11fefff0f9ffb850\n\
+0/clocked/3 acc=1.0 cost=0.09900000000000005 answers=2.3333333333333335 hits=3 verdicts=554567bb1a8ce748\n\
+0/parallel2/0 acc=0.8888888888888888 cost=0.14300000000000002 answers=2.7777777777777777 hits=3 verdicts=855c01b5f6c9d8ca\n\
+0/parallel2/1 acc=1.0 cost=0.17600000000000002 answers=4.0 hits=4 verdicts=32d11d5910196e4c\n\
+0/parallel2/2 acc=1.0 cost=0.05500000000000002 answers=2.142857142857143 hits=2 verdicts=97c87564db7df838\n\
+0/parallel2/3 acc=1.0 cost=0.06600000000000006 answers=2.0 hits=3 verdicts=d2c2a8c7c39f602a\n\
+0/eot-Majority-Voting/0 acc=1.0 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=5c2f6ffed451d9ec\n\
+0/eot-Majority-Voting/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=e71a310ef71eacdd\n\
+0/eot-Majority-Voting/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=b537dea3e6f5a0e1\n\
+0/eot-Majority-Voting/3 acc=0.8333333333333334 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=232d871b3d0f0313\n\
+0/eot-Half-Voting/0 acc=1.0 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=5c2f6ffed451d9ec\n\
+0/eot-Half-Voting/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=e71a310ef71eacdd\n\
+0/eot-Half-Voting/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=b537dea3e6f5a0e1\n\
+0/eot-Half-Voting/3 acc=0.8333333333333334 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=232d871b3d0f0313\n\
+0/eot-Verification/0 acc=1.0 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=3656f62d8661171c\n\
+0/eot-Verification/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=a3f4df1a4c04cb25\n\
+0/eot-Verification/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=1e64d8b39187bb85\n\
+0/eot-Verification/3 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=f2423f9ef8814287\n\
+1/clocked/0 acc=1.0 cost=0.23100000000000015 answers=7.0 hits=3 verdicts=d34aa594fa7ecfa3\n\
+1/clocked/1 acc=0.9 cost=0.06599999999999999 answers=2.4 hits=2 verdicts=699364a139f8310e\n\
+1/clocked/2 acc=0.8888888888888888 cost=0.1430000000000001 answers=3.7777777777777777 hits=3 verdicts=718215b0b775fafc\n\
+1/parallel2/0 acc=0.9166666666666666 cost=0.23100000000000012 answers=7.0 hits=3 verdicts=cf1ab0ea5a094b0b\n\
+1/parallel2/1 acc=1.0 cost=0.05499999999999999 answers=2.2 hits=2 verdicts=281930db2a68372b\n\
+1/parallel2/2 acc=1.0 cost=0.14300000000000004 answers=3.6666666666666665 hits=3 verdicts=862656ad4d4d4cd2\n\
+1/eot-Majority-Voting/0 acc=0.9166666666666666 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=fc37c7790b075109\n\
+1/eot-Majority-Voting/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=230c5ed7490562d3\n\
+1/eot-Majority-Voting/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=f1f2f1851d049781\n\
+1/eot-Half-Voting/0 acc=0.8333333333333334 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=e19ec481e04b02b2\n\
+1/eot-Half-Voting/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=230c5ed7490562d3\n\
+1/eot-Half-Voting/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=f1f2f1851d049781\n\
+1/eot-Verification/0 acc=1.0 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=142e0b98364c5380\n\
+1/eot-Verification/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=c801b213f17df73e\n\
+1/eot-Verification/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=c7b9a8e325257dc4\n\
+2/clocked/0 acc=0.9 cost=0.11000000000000007 answers=3.5 hits=2 verdicts=129795c2a8b410a8\n\
+2/clocked/1 acc=0.5 cost=0.09899999999999996 answers=3.0 hits=3 verdicts=1819bcfad2a4e7f4\n\
+2/clocked/2 acc=0.7272727272727273 cost=0.14300000000000007 answers=3.5454545454545454 hits=3 verdicts=3af96ef30325ca21\n\
+2/clocked/3 acc=0.6 cost=0.15400000000000014 answers=7.0 hits=2 verdicts=745cc5a8e02298e6\n\
+2/parallel2/0 acc=0.9 cost=0.088 answers=3.4 hits=2 verdicts=4d18c8f7e4404d6e\n\
+2/parallel2/1 acc=0.375 cost=0.099 answers=3.0 hits=3 verdicts=99d13d6fe47c13e4\n\
+2/parallel2/2 acc=0.7272727272727273 cost=0.14300000000000007 answers=3.090909090909091 hits=3 verdicts=c25c9961c1233ac6\n\
+2/parallel2/3 acc=0.8 cost=0.15400000000000005 answers=7.0 hits=2 verdicts=80a9ea7077c10414\n\
+2/eot-Majority-Voting/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=21613d3a7610f2e7\n\
+2/eot-Majority-Voting/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=7264550fea39c82c\n\
+2/eot-Majority-Voting/2 acc=0.6363636363636364 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=5bf045a0b92d69d2\n\
+2/eot-Majority-Voting/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=3a896619ebdf90ca\n\
+2/eot-Half-Voting/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=21613d3a7610f2e7\n\
+2/eot-Half-Voting/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=7264550fea39c82c\n\
+2/eot-Half-Voting/2 acc=0.6363636363636364 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=5bf045a0b92d69d2\n\
+2/eot-Half-Voting/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=3a896619ebdf90ca\n\
+2/eot-Verification/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=b1972a3559446fee\n\
+2/eot-Verification/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=8db773e6f349b841\n\
+2/eot-Verification/2 acc=0.8181818181818182 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=dbf95b53a48b2f12\n\
+2/eot-Verification/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=67b2aca57ee15460
+";
+
+#[test]
+fn golden_reports_are_unchanged() {
+    let actual = actual_table();
+    let expected: Vec<&str> = GOLDEN.lines().collect();
+    let moved: Vec<String> = actual
+        .iter()
+        .zip(&expected)
+        .filter(|(a, e)| a.as_str() != **e)
+        .map(|(a, e)| format!("  expected {e}\n  actual   {a}"))
+        .collect();
+    assert!(
+        moved.is_empty() && actual.len() == expected.len(),
+        "{} golden lines moved ({} produced, {} pinned):\n{}\nfull table:\n{}",
+        moved.len(),
+        actual.len(),
+        expected.len(),
+        moved.join("\n"),
+        actual.join("\n")
+    );
+}
