@@ -176,7 +176,6 @@ impl Config {
                     publish_calls: vec!["publish_batch", "publish_batch_to"],
                     collect_calls: vec![
                         "collect_batch",
-                        "collect_batch_cached",
                         "collect_batch_clocked",
                         "collect_batch_clocked_cached",
                         "begin_clocked",

@@ -115,7 +115,9 @@ pub trait CrowdPlatform: Send {
     /// This is the event source of the discrete-event simulation: a clocked collector
     /// advances its [`crate::clock::SimClock`] to this time and polls. Platforms that
     /// cannot look ahead (a real AMT adapter polling a remote queue) may keep the default
-    /// `None`; clocked callers then degrade to a single end-of-time poll.
+    /// `None`; clocked callers then make a single end-of-time poll per HIT and stamp it
+    /// with the current instant — which is how the engine's end-of-time collection runs
+    /// on every platform.
     fn next_arrival(&self, hit: HitId) -> Option<f64> {
         let _ = hit;
         None

@@ -1,9 +1,6 @@
-//! Clocked phase 2: discrete-event ingestion of a HIT batch (§4.2 with real time).
+//! Phase 2: ingestion of a HIT batch as its answers arrive (§4.2, Algorithm 5).
 //!
-//! [`CrowdsourcingEngine::collect_batch`] polls the platform at the end of time: every
-//! answer is delivered (and paid for) before the first verdict is computed, so "early
-//! termination" only replays history. This module is the time-aware counterpart. A
-//! [`ClockedCollector`] is created when the batch is published and then *fed* answers as
+//! A [`ClockedCollector`] is created when the batch is published and then *fed* answers as
 //! they arrive, advancing a [`SimClock`] from arrival event to arrival event:
 //!
 //! 1. each arriving worker submission is first scored against the batch's gold questions
@@ -18,12 +15,14 @@
 //!    another job ([`crate::scheduler::JobScheduler::run_clocked`]).
 //!
 //! Strategies without an online termination signal (the voting strategies, or
-//! probabilistic verification without a [`cdas_core::online::TerminationStrategy`]) still
-//! benefit: answers
-//! are ingested incrementally and the batch completes at its natural makespan, with
-//! verdicts identical to the end-of-time path. The engine-side cost of a clocked batch is
-//! *by construction* what the platform charged — the per-delivered-answer price — closing
-//! the terminated-HIT accounting divergence of the legacy path.
+//! probabilistic verification without a [`cdas_core::online::TerminationStrategy`]) ingest
+//! incrementally too and verify once, when the batch completes. The engine-side cost of a
+//! batch is *by construction* what the platform charged for the delivered answers.
+//!
+//! This is the only phase-2 implementation. On a platform without arrival look-ahead
+//! ([`CrowdPlatform::next_arrival`] keeps its default `None`) it makes one end-of-time
+//! poll per HIT and never moves the clock: [`CrowdsourcingEngine::collect_batch`] and
+//! `ExecutionMode::EndOfTime` runs are this collector over such a view of the platform.
 
 use std::collections::BTreeMap;
 
@@ -31,10 +30,13 @@ use cdas_core::accuracy::AccuracyRegistry;
 use cdas_core::online::OnlineProcessor;
 use cdas_core::sampling::SamplingEstimator;
 use cdas_core::sharing::AccuracyCache;
-use cdas_core::types::{HitId, Label, QuestionId, Vote, WorkerId};
-use cdas_core::verification::Verdict;
+use cdas_core::types::{HitId, Label, Observation, QuestionId, Vote, WorkerId};
+use cdas_core::verification::probabilistic::ProbabilisticVerifier;
+use cdas_core::verification::voting::{HalfVoting, MajorityVoting};
+use cdas_core::verification::{Verdict, Verifier};
 use cdas_core::Result;
 use cdas_crowd::clock::SimClock;
+use cdas_crowd::hit::HitRequest;
 use cdas_crowd::platform::{CancelReceipt, CrowdPlatform, WorkerAnswer};
 use cdas_crowd::question::CrowdQuestion;
 use serde::{Deserialize, Serialize};
@@ -44,8 +46,38 @@ use crate::engine::{
     VerificationStrategy,
 };
 
-/// The outcome of one clocked batch: the ordinary [`HitOutcome`] plus the temporal facts
-/// the end-of-time path cannot produce.
+/// A platform seen without arrival look-ahead. Every method forwards to the wrapped
+/// platform except [`CrowdPlatform::next_arrival`], which keeps the trait default `None`,
+/// so a collector over this view polls each HIT once, at the end of time.
+pub(crate) struct EndOfTime<'a, P>(pub(crate) &'a mut P);
+
+impl<P: CrowdPlatform> CrowdPlatform for EndOfTime<'_, P> {
+    fn publish(&mut self, request: HitRequest) -> HitId {
+        self.0.publish(request)
+    }
+
+    fn publish_to(&mut self, request: HitRequest, workers: &[WorkerId]) -> HitId {
+        self.0.publish_to(request, workers)
+    }
+
+    fn advance_time(&mut self, now: f64) {
+        self.0.advance_time(now);
+    }
+
+    fn poll(&mut self, hit: HitId, now: f64) -> Vec<WorkerAnswer> {
+        self.0.poll(hit, now)
+    }
+
+    fn cancel(&mut self, hit: HitId, now: f64) -> CancelReceipt {
+        self.0.cancel(hit, now)
+    }
+
+    fn total_cost(&self) -> f64 {
+        self.0.total_cost()
+    }
+}
+
+/// The outcome of one clocked batch: the ordinary [`HitOutcome`] plus its temporal facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClockedOutcome {
     /// The verdicts, registry and cost, exactly as [`HitOutcome`] reports them. The cost
@@ -55,7 +87,8 @@ pub struct ClockedOutcome {
     /// Simulated time the batch was published at.
     pub published_at: f64,
     /// Simulated time the batch finished: the mid-flight termination instant, or the last
-    /// arrival when the batch ran to its natural makespan.
+    /// arrival when the batch ran to its natural makespan (the publication instant on a
+    /// platform without look-ahead).
     pub completed_at: f64,
     /// Simulated time of the first final verdict on a *real* question (`None` when no real
     /// question received an accepted answer).
@@ -150,8 +183,8 @@ impl CrowdsourcingEngine {
     /// termination condition fires. The clock ends at the batch's completion time.
     ///
     /// On a platform without arrival look-ahead ([`CrowdPlatform::next_arrival`] returns
-    /// `None`), this degrades to a single end-of-time poll — equivalent to
-    /// [`collect_batch`](Self::collect_batch) with clocked bookkeeping.
+    /// `None`), this is a single end-of-time poll that leaves the clock where it was —
+    /// exactly [`collect_batch`](Self::collect_batch).
     pub fn collect_batch_clocked<P: CrowdPlatform>(
         &self,
         platform: &mut P,
@@ -163,7 +196,12 @@ impl CrowdsourcingEngine {
 
     /// Clocked phase 2 with cross-job accuracy sharing: gold estimates are absorbed into
     /// the shared registry behind `cache` *as submissions arrive*, and votes are weighted
-    /// with the fleet-wide estimates.
+    /// with the fleet-wide estimates — so a worker's accuracy learned in job A
+    /// immediately reweights their votes in job B.
+    ///
+    /// An [`AccuracySource::Registry`] in the config is honoured by seeding the shared
+    /// registry with its entries as injected estimates (gold-sampled estimates, from any
+    /// job, always outrank them).
     pub fn collect_batch_clocked_cached<P: CrowdPlatform>(
         &self,
         platform: &mut P,
@@ -182,33 +220,19 @@ impl CrowdsourcingEngine {
         cache: Option<&AccuracyCache>,
     ) -> Result<ClockedOutcome> {
         let mut collector = self.begin_clocked(ticket, clock.now());
+        let hit = collector.hit();
         loop {
-            match platform
-                .next_arrival(collector.hit())
-                .filter(|t| t.is_finite())
-            {
-                None => {
-                    // No look-ahead (foreign platform) or nothing further arrives: drain
-                    // whatever the platform still holds and finalize at the last arrival.
-                    let cost_before = platform.total_cost();
-                    let answers = platform.poll(collector.hit(), f64::INFINITY);
-                    collector.record_charge(platform.total_cost() - cost_before);
-                    if let Some(last) = answers.last() {
-                        clock.advance_to(last.arrived_at);
-                    }
-                    collector.ingest(&answers, clock.now(), cache)?;
-                    return collector.finalize(clock.now(), None, cache);
-                }
-                Some(t) => {
-                    clock.advance_to(t);
-                    let cost_before = platform.total_cost();
-                    let answers = platform.poll(collector.hit(), clock.now());
-                    collector.record_charge(platform.total_cost() - cost_before);
-                    if collector.ingest(&answers, clock.now(), cache)? {
-                        let receipt = platform.cancel(collector.hit(), clock.now());
-                        return collector.finalize(clock.now(), Some(receipt), cache);
-                    }
-                }
+            // No look-ahead (or nothing further arrives) drains whatever the platform
+            // still holds at the current instant.
+            let next = platform.next_arrival(hit).filter(|t| t.is_finite());
+            let poll_at = next.map_or(f64::INFINITY, |t| clock.advance_to(t));
+            let cost_before = platform.total_cost();
+            let answers = platform.poll(hit, poll_at);
+            collector.record_charge(platform.total_cost() - cost_before);
+            let terminated = collector.ingest(&answers, clock.now(), cache)?;
+            if terminated || next.is_none() {
+                let receipt = terminated.then(|| platform.cancel(hit, clock.now()));
+                return collector.finalize(clock.now(), receipt, cache);
             }
         }
     }
@@ -269,8 +293,8 @@ impl ClockedCollector {
         if let Some(cache) = cache {
             if !self.seeded_shared {
                 // A configured registry (simulation oracle, prior deployment) seeds the
-                // fleet registry as injected estimates, exactly like the legacy cached
-                // path; gold-sampled estimates always outrank them.
+                // fleet registry as injected estimates; gold-sampled estimates always
+                // outrank them.
                 if let AccuracySource::Registry(r) = &self.config.accuracy_source {
                     cache.shared().absorb(r);
                 }
@@ -307,9 +331,9 @@ impl ClockedCollector {
         // ...fold the refreshed estimate into the batch-local registry, and share exactly
         // this worker's estimate with the fleet before weighting their votes. Each worker
         // submits once per batch, so the shared registry absorbs one sampled estimate per
-        // (worker, batch) — same pooling semantics as the legacy once-per-batch absorb.
-        // (Absorbing the whole local registry here would re-pool every earlier worker's
-        // samples on every submission and inflate their weight fleet-wide.)
+        // (worker, batch). (Absorbing the whole local registry here would re-pool every
+        // earlier worker's samples on every submission and inflate their weight
+        // fleet-wide.)
         if let Some(tally) = self.estimator.tally(worker) {
             if let Some(smoothed) = tally.smoothed_accuracy() {
                 self.local_registry.set(worker, smoothed, tally.total);
@@ -419,28 +443,29 @@ impl ClockedCollector {
         cache: Option<&AccuracyCache>,
     ) -> Result<ClockedOutcome> {
         let (registry, estimated_mean) = self.final_registry(cache);
-        let online = self.online();
-        let engine = CrowdsourcingEngine::new(self.config.clone());
-
         let mut verdicts = Vec::with_capacity(self.questions.len());
-        let mut any_real_accepted = false;
         for question in &self.questions {
-            let votes = self.votes.get(&question.id).cloned().unwrap_or_default();
-            let (verdict, answers_used, reasons) = if online {
-                self.online_verdict(question, &votes)?
+            let votes = self
+                .votes
+                .get(&question.id)
+                .map(Vec::as_slice)
+                .unwrap_or_default();
+            let (verdict, answers_used) = if self.online() {
+                self.online_verdict(question)?
             } else {
-                let refs: Vec<&WorkerAnswer> = votes.iter().collect();
-                engine.verify_question(
-                    question,
-                    &refs,
-                    self.workers_assigned,
-                    &registry,
-                    estimated_mean,
-                )?
+                self.offline_verdict(question, votes, &registry)?
             };
-            if !question.is_gold && verdict.is_accepted() {
-                any_real_accepted = true;
-            }
+            // Reasons: keywords from the workers (among the consumed prefix) whose vote
+            // matches the accepted answer.
+            let reasons = match verdict.label() {
+                Some(accepted) => votes
+                    .iter()
+                    .take(answers_used)
+                    .filter(|a| &a.label == accepted)
+                    .flat_map(|a| a.keywords.iter().cloned())
+                    .collect(),
+                None => Vec::new(),
+            };
             verdicts.push(QuestionVerdict {
                 question: question.id,
                 verdict,
@@ -449,6 +474,9 @@ impl ClockedCollector {
                 reasons,
             });
         }
+        let any_real_accepted = verdicts
+            .iter()
+            .any(|v| !v.is_gold && v.verdict.is_accepted());
 
         // The engine-side price of a clocked batch is exactly what the platform charged
         // for its polls (accumulated via `record_charge`), never a re-pricing — so the
@@ -480,15 +508,11 @@ impl ClockedCollector {
         })
     }
 
-    /// The verdict of one question under the online path: the processor's final ranking,
-    /// consumed up to its termination point.
-    fn online_verdict(
-        &self,
-        question: &CrowdQuestion,
-        votes: &[WorkerAnswer],
-    ) -> Result<(Verdict, usize, Vec<String>)> {
+    /// The verdict of one question under the online path and the answers it consumed:
+    /// the processor's final ranking, up to its termination point.
+    fn online_verdict(&self, question: &CrowdQuestion) -> Result<(Verdict, usize)> {
         let Some(processor) = self.processors.get(&question.id) else {
-            return Ok((Verdict::NoAnswer, 0, Vec::new()));
+            return Ok((Verdict::NoAnswer, 0));
         };
         let outcome = processor.current()?;
         let answers_used = processor
@@ -498,20 +522,50 @@ impl ClockedCollector {
             Some((label, confidence)) => Verdict::Accepted { label, confidence },
             None => Verdict::NoAnswer,
         };
-        let reasons = match verdict.label() {
-            Some(accepted) => votes
-                .iter()
-                .take(answers_used)
-                .filter(|a| &a.label == accepted)
-                .flat_map(|a| a.keywords.iter().cloned())
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok((verdict, answers_used, reasons))
+        Ok((verdict, answers_used))
     }
 
-    /// The registry and mean estimate verification runs with, mirroring the legacy
-    /// phase-2 sources (fleet snapshot, configured registry, or local gold estimates).
+    /// The verdict of one question under a strategy without an online termination
+    /// signal: every delivered vote (in arrival order), weighted with `registry`.
+    fn offline_verdict(
+        &self,
+        question: &CrowdQuestion,
+        votes: &[WorkerAnswer],
+        registry: &AccuracyRegistry,
+    ) -> Result<(Verdict, usize)> {
+        if votes.is_empty() {
+            return Ok((Verdict::NoAnswer, 0));
+        }
+        let observation = Observation::from_votes(
+            votes
+                .iter()
+                .map(|a| {
+                    let accuracy = registry
+                        .accuracy_of(a.worker)
+                        .unwrap_or(self.config.default_worker_accuracy);
+                    Vote::new(a.worker, a.label.clone(), accuracy)
+                        .with_keywords(a.keywords.iter().cloned())
+                })
+                .collect(),
+        );
+        let verdict = match self.config.verification {
+            VerificationStrategy::HalfVoting => {
+                HalfVoting::new(self.workers_assigned).decide(&observation)?
+            }
+            VerificationStrategy::MajorityVoting => MajorityVoting::new().decide(&observation)?,
+            VerificationStrategy::Probabilistic => {
+                let domain_size = self
+                    .config
+                    .domain_size
+                    .unwrap_or_else(|| question.domain.size());
+                ProbabilisticVerifier::with_domain_size(domain_size).decide(&observation)?
+            }
+        };
+        Ok((verdict, votes.len()))
+    }
+
+    /// The registry and mean estimate verification runs with: the fleet snapshot when
+    /// sharing, else the configured registry or the local gold estimates.
     fn final_registry(&self, cache: Option<&AccuracyCache>) -> (AccuracyRegistry, Option<f64>) {
         let local_mean = self.estimator.stats().ok().map(|s| s.mean);
         match (cache, &self.config.accuracy_source) {
@@ -613,7 +667,7 @@ mod tests {
         let e = engine(None);
         let mut p = platform(0.8, 5);
         let ticket = e.publish_batch(&mut p, batch(10, 3)).unwrap();
-        let legacy = e.collect_batch(&mut p, ticket).unwrap();
+        let end_of_time = e.collect_batch(&mut p, ticket).unwrap();
 
         let mut p = platform(0.8, 5);
         let mut clock = SimClock::new();
@@ -622,10 +676,13 @@ mod tests {
 
         // Cost is the platform-ledger delta in both paths; the clocked path accumulates
         // it per poll, so allow float-summation noise before comparing the rest exactly.
-        assert!((clocked.outcome.cost - legacy.cost).abs() < 1e-12);
+        assert!((clocked.outcome.cost - end_of_time.cost).abs() < 1e-12);
         let mut normalized = clocked.outcome.clone();
-        normalized.cost = legacy.cost;
-        assert_eq!(normalized, legacy, "offline verdicts must be identical");
+        normalized.cost = end_of_time.cost;
+        assert_eq!(
+            normalized, end_of_time,
+            "offline verdicts must be identical"
+        );
         assert!(!clocked.cancelled);
         assert_eq!(clocked.answers_cancelled, 0);
         assert_eq!(clocked.reclaimed_minutes, 0.0);

@@ -9,12 +9,12 @@
 //! every real question with the configured strategy: Half-Voting, Majority-Voting, or the
 //! probability-based verification model — the latter either offline (all answers) or online
 //! with one of the early-termination strategies, in which case the HIT is cancelled once
-//! every question has terminated. [`collect_batch`](CrowdsourcingEngine::collect_batch)
-//! polls at the end of time, so it has already paid for every answer by the time it
-//! verifies; the **clocked** phase 2 in [`crate::clocked`] polls incrementally under a
-//! [`cdas_crowd::clock::SimClock`] and cancels *mid-flight*, so the saved assignments are
-//! genuinely never delivered, never paid for, and their workers are freed while the HIT
-//! is still running.
+//! every question has terminated. Phase 2 is the collector in [`crate::clocked`]: it polls
+//! as answers arrive under a [`cdas_crowd::clock::SimClock`] and cancels *mid-flight*, so
+//! the saved assignments are genuinely never delivered, never paid for, and their workers
+//! are freed while the HIT is still running.
+//! [`collect_batch`](CrowdsourcingEngine::collect_batch) is that collector with a single
+//! end-of-time poll, so it has already paid for every answer by the time it verifies.
 //!
 //! The two phases are **re-entrant per batch**: [`CrowdsourcingEngine::publish_batch`]
 //! returns a [`BatchTicket`] and [`CrowdsourcingEngine::collect_batch`] redeems it, so a
@@ -22,23 +22,20 @@
 //! publishes with ingestion ([`crate::scheduler`]). [`CrowdsourcingEngine::run_hit`] is the
 //! single-batch composition of the two.
 
-use std::collections::BTreeMap;
-
 use cdas_core::accuracy::AccuracyRegistry;
 use cdas_core::economics::CostModel;
-use cdas_core::online::{OnlineProcessor, TerminationStrategy};
+use cdas_core::online::TerminationStrategy;
 use cdas_core::prediction::PredictionModel;
-use cdas_core::sampling::SamplingEstimator;
-use cdas_core::sharing::AccuracyCache;
-use cdas_core::types::{HitId, Label, Observation, QuestionId, Vote, WorkerId};
-use cdas_core::verification::probabilistic::ProbabilisticVerifier;
-use cdas_core::verification::voting::{HalfVoting, MajorityVoting};
-use cdas_core::verification::{Verdict, Verifier};
+use cdas_core::types::{HitId, QuestionId, WorkerId};
+use cdas_core::verification::Verdict;
 use cdas_core::{CdasError, Result};
+use cdas_crowd::clock::SimClock;
 use cdas_crowd::hit::HitRequest;
-use cdas_crowd::platform::{CrowdPlatform, WorkerAnswer};
+use cdas_crowd::platform::CrowdPlatform;
 use cdas_crowd::question::CrowdQuestion;
 use serde::{Deserialize, Serialize};
+
+use crate::clocked::EndOfTime;
 
 /// Which answer-verification strategy the engine applies to each question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -325,240 +322,26 @@ impl CrowdsourcingEngine {
 
     /// Phase 2: ingest one published batch — poll its answers, estimate worker accuracies
     /// from the gold questions, verify every question, and account for cost.
+    ///
+    /// This is [`collect_batch_clocked`](Self::collect_batch_clocked) with one end-of-time
+    /// poll: the platform's arrival look-ahead is ignored, so every answer is delivered
+    /// (and paid for) before the first verdict, and an early-terminated HIT is cancelled
+    /// afterwards.
     pub fn collect_batch<P: CrowdPlatform>(
         &self,
         platform: &mut P,
         ticket: BatchTicket,
     ) -> Result<HitOutcome> {
-        self.finish_batch(platform, ticket, None)
-    }
-
-    /// Phase 2 with cross-job accuracy sharing: like [`collect_batch`](Self::collect_batch),
-    /// but gold estimates from this batch are absorbed into the shared registry behind
-    /// `cache`, and verification weights votes with the *fleet-wide* estimates — so a
-    /// worker's accuracy learned in job A immediately reweights their votes in job B.
-    ///
-    /// An [`AccuracySource::Registry`] in the config is honoured by seeding the shared
-    /// registry with its entries as injected estimates (gold-sampled estimates, from any
-    /// job, always outrank them).
-    pub fn collect_batch_cached<P: CrowdPlatform>(
-        &self,
-        platform: &mut P,
-        ticket: BatchTicket,
-        cache: &AccuracyCache,
-    ) -> Result<HitOutcome> {
-        self.finish_batch(platform, ticket, Some(cache))
-    }
-
-    /// Shared phase-2 implementation.
-    fn finish_batch<P: CrowdPlatform>(
-        &self,
-        platform: &mut P,
-        ticket: BatchTicket,
-        cache: Option<&AccuracyCache>,
-    ) -> Result<HitOutcome> {
-        let BatchTicket {
-            hit,
-            questions,
-            workers_assigned: workers,
-        } = ticket;
-        // Cost is measured around this batch's own poll/cancel, so interleaved collects of
-        // other batches (the scheduler path) cannot leak charges into this HIT.
-        let cost_before = platform.total_cost();
-        let answers = platform.poll(hit, f64::INFINITY);
-
-        // Phase 2a: estimate worker accuracy from gold questions.
-        let (registry, estimated_mean) = match cache {
-            None => self.build_registry(&questions, &answers),
-            Some(cache) => {
-                // An explicitly configured registry (simulation oracle, estimates from a
-                // previous deployment) seeds the fleet registry as *injected* estimates:
-                // sampled gold estimates always outrank it, per the absorb policy.
-                if let AccuracySource::Registry(r) = &self.config.accuracy_source {
-                    cache.shared().absorb(r);
-                }
-                let (local, local_mean) = self.sample_gold(&questions, &answers);
-                cache.shared().absorb(&local);
-                let registry = cache
-                    .snapshot()
-                    .with_default_accuracy(self.config.default_worker_accuracy);
-                let mean = local_mean.or_else(|| registry.mean_accuracy());
-                (registry, mean)
-            }
-        };
-
-        // Phase 2b: verify every question.
-        let mut per_question: BTreeMap<QuestionId, Vec<&WorkerAnswer>> = BTreeMap::new();
-        for a in &answers {
-            per_question.entry(a.question).or_default().push(a);
-        }
-        let mut verdicts = Vec::with_capacity(questions.len());
-        let mut online_consumed_max = 0usize;
-        for question in &questions {
-            let votes = per_question.get(&question.id).cloned().unwrap_or_default();
-            let (verdict, answers_used, reasons) =
-                self.verify_question(question, &votes, workers, &registry, estimated_mean)?;
-            online_consumed_max = online_consumed_max.max(answers_used);
-            verdicts.push(QuestionVerdict {
-                question: question.id,
-                verdict,
-                answers_used,
-                is_gold: question.is_gold,
-                reasons,
-            });
-        }
-
-        // Early termination at the HIT level: if every question terminated before the last
-        // worker, cancel the remainder (the paper's footnote 3 — cancelled assignments are
-        // not paid). This end-of-time path polled every answer before verifying, so the
-        // cancel reclaims nothing and the HIT costs exactly what the platform charged —
-        // the engine no longer re-prices at the consumed fraction, which used to make
-        // `HitOutcome::cost` disagree with `platform.total_cost()`. Real savings come from
-        // the clocked path ([`crate::clocked`]), which stops polling at termination.
-        if self.config.termination.is_some() && online_consumed_max < workers {
-            // An end-of-time cancel reclaims nothing by construction, so the
-            // receipt is deliberately discarded.
-            let _ = platform.cancel(hit, f64::INFINITY);
-        }
-        let cost = platform.total_cost() - cost_before;
-
-        Ok(HitOutcome {
-            hit,
-            verdicts,
-            workers_assigned: workers,
-            estimated_mean_accuracy: estimated_mean,
-            registry,
-            cost,
-        })
-    }
-
-    /// Build the accuracy registry for phase 2 from the configured source.
-    fn build_registry(
-        &self,
-        questions: &[CrowdQuestion],
-        answers: &[WorkerAnswer],
-    ) -> (AccuracyRegistry, Option<f64>) {
-        match &self.config.accuracy_source {
-            AccuracySource::Registry(r) => {
-                let mean = r.mean_accuracy();
-                (
-                    r.clone()
-                        .with_default_accuracy(self.config.default_worker_accuracy),
-                    mean,
-                )
-            }
-            AccuracySource::GoldSampling => {
-                let (registry, mean) = self.sample_gold(questions, answers);
-                (
-                    registry.with_default_accuracy(self.config.default_worker_accuracy),
-                    mean,
-                )
-            }
-        }
-    }
-
-    /// Algorithm 4 over one batch: estimate each participating worker's accuracy from the
-    /// gold questions. Returns the raw per-batch registry (no default accuracy applied)
-    /// and the estimated mean, if any gold answers arrived.
-    fn sample_gold(
-        &self,
-        questions: &[CrowdQuestion],
-        answers: &[WorkerAnswer],
-    ) -> (AccuracyRegistry, Option<f64>) {
-        let truth_by_question: BTreeMap<QuestionId, &Label> = questions
-            .iter()
-            .filter(|q| q.is_gold)
-            .map(|q| (q.id, &q.ground_truth))
-            .collect();
-        let mut estimator = SamplingEstimator::new();
-        for a in answers {
-            if let Some(truth) = truth_by_question.get(&a.question) {
-                estimator.record(a.worker, a.question, &a.label, truth);
-            }
-        }
-        let mean = estimator.stats().ok().map(|s| s.mean);
-        (estimator.to_registry(), mean)
-    }
-
-    /// Verify a single question from its votes (in arrival order). Shared with the clocked
-    /// collector ([`crate::clocked`]), which uses it for the strategies that have no
-    /// online termination signal and must verify once all answers have arrived.
-    pub(crate) fn verify_question(
-        &self,
-        question: &CrowdQuestion,
-        votes: &[&WorkerAnswer],
-        workers_assigned: usize,
-        registry: &AccuracyRegistry,
-        estimated_mean: Option<f64>,
-    ) -> Result<(Verdict, usize, Vec<String>)> {
-        if votes.is_empty() {
-            return Ok((Verdict::NoAnswer, 0, Vec::new()));
-        }
-        let accuracy_of = |worker: WorkerId| {
-            registry
-                .accuracy_of(worker)
-                .unwrap_or(self.config.default_worker_accuracy)
-        };
-        let to_vote = |a: &&WorkerAnswer| {
-            Vote::new(a.worker, a.label.clone(), accuracy_of(a.worker))
-                .with_keywords(a.keywords.iter().cloned())
-        };
-        let domain_size = self
-            .config
-            .domain_size
-            .unwrap_or_else(|| question.domain.size());
-
-        let (verdict, answers_used) = match (self.config.verification, self.config.termination) {
-            (VerificationStrategy::HalfVoting, _) => {
-                let observation = Observation::from_votes(votes.iter().map(to_vote).collect());
-                (
-                    HalfVoting::new(workers_assigned).decide(&observation)?,
-                    votes.len(),
-                )
-            }
-            (VerificationStrategy::MajorityVoting, _) => {
-                let observation = Observation::from_votes(votes.iter().map(to_vote).collect());
-                (MajorityVoting::new().decide(&observation)?, votes.len())
-            }
-            (VerificationStrategy::Probabilistic, None) => {
-                let observation = Observation::from_votes(votes.iter().map(to_vote).collect());
-                let verifier = ProbabilisticVerifier::with_domain_size(domain_size);
-                (verifier.decide(&observation)?, votes.len())
-            }
-            (VerificationStrategy::Probabilistic, Some(strategy)) => {
-                let mean = estimated_mean
-                    .or_else(|| registry.mean_accuracy())
-                    .unwrap_or(self.config.default_worker_accuracy);
-                let mut processor = OnlineProcessor::new(workers_assigned, mean, strategy)?
-                    .with_domain_size(domain_size);
-                let outcome = processor.run_until_termination(votes.iter().map(to_vote))?;
-                let verdict = match outcome.best {
-                    Some((label, confidence)) => Verdict::Accepted { label, confidence },
-                    None => Verdict::NoAnswer,
-                };
-                (verdict, outcome.answers_received)
-            }
-        };
-
-        // Reasons: keywords from the workers (among the consumed prefix) whose vote matches
-        // the accepted answer.
-        let reasons = match verdict.label() {
-            Some(accepted) => votes
-                .iter()
-                .take(answers_used)
-                .filter(|a| &a.label == accepted)
-                .flat_map(|a| a.keywords.iter().cloned())
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok((verdict, answers_used, reasons))
+        let clocked =
+            self.collect_batch_clocked(&mut EndOfTime(platform), ticket, &mut SimClock::new())?;
+        Ok(clocked.outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdas_core::types::AnswerDomain;
+    use cdas_core::types::{AnswerDomain, Label};
     use cdas_crowd::pool::{PoolConfig, WorkerPool};
     use cdas_crowd::SimulatedPlatform;
 
@@ -787,17 +570,24 @@ mod tests {
         });
         let mut p = platform(0.8, 41);
         let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
+        let mut clock = SimClock::new();
 
         // Batch 1 carries gold questions: its estimates land in the shared registry.
         let t1 = engine.publish_batch(&mut p, batch(8, 4)).unwrap();
-        let o1 = engine.collect_batch_cached(&mut p, t1, &cache).unwrap();
+        let o1 = engine
+            .collect_batch_clocked_cached(&mut p, t1, &mut clock, &cache)
+            .unwrap()
+            .outcome;
         assert!(!cache.shared().is_empty());
         assert!(o1.estimated_mean_accuracy.is_some());
 
         // Batch 2 has NO gold questions, yet its verification registry is non-empty:
         // every estimate it weights votes with was learned in batch 1.
         let t2 = engine.publish_batch(&mut p, batch(8, 0)).unwrap();
-        let o2 = engine.collect_batch_cached(&mut p, t2, &cache).unwrap();
+        let o2 = engine
+            .collect_batch_clocked_cached(&mut p, t2, &mut clock, &cache)
+            .unwrap()
+            .outcome;
         assert!(!o2.registry.is_empty());
         assert!(
             o2.registry.iter().all(|(_, e)| e.samples > 0),
@@ -821,7 +611,10 @@ mod tests {
         // A gold-free batch: without the configured registry there would be nothing to
         // weight votes with beyond the default.
         let ticket = engine.publish_batch(&mut p, batch(6, 0)).unwrap();
-        let outcome = engine.collect_batch_cached(&mut p, ticket, &cache).unwrap();
+        let outcome = engine
+            .collect_batch_clocked_cached(&mut p, ticket, &mut SimClock::new(), &cache)
+            .unwrap()
+            .outcome;
         assert_eq!(
             cache.shared().len(),
             30,

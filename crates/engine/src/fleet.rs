@@ -80,8 +80,10 @@ use crate::scheduler::{
 /// scheduler over the same crowd — they differ only in how time and threads are modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Poll every batch at the end of time ([`JobScheduler::run`]): ticks are dispatch
-    /// rounds, not time. The fastest mode; no latency or makespan is simulated.
+    /// The clocked loop over a view of the platform without arrival look-ahead
+    /// ([`JobScheduler::run`]): each batch is polled once, at the end of time, in the
+    /// tick that dispatched it. Ticks are dispatch rounds; the clock never moves, so
+    /// every simulated instant (dispatch, first verdict, completion, makespan) is 0.0.
     EndOfTime,
     /// Discrete-event simulated time ([`JobScheduler::run_clocked`]): answers arrive
     /// under the crowd's latency model, early-terminated HITs are cancelled mid-flight,
@@ -897,7 +899,8 @@ pub enum FleetEvent {
         /// the event into the timeline at the earliest point it could have happened.
         at: f64,
     },
-    /// A job produced its first final verdict on a real question (clocked runs only).
+    /// A job produced its first final verdict on a real question (at 0.0 throughout
+    /// `EndOfTime` runs).
     FirstVerdict {
         /// The job.
         job: JobId,
@@ -1067,7 +1070,7 @@ fn stream_events(report: &FleetReport, scheduler: &JobScheduler) -> Vec<FleetEve
     }
     // Stable: equal-time events keep their insertion order, which is dispatch order for
     // the timeline and per-job order for the rollup events — exactly what an observer of
-    // an unclocked run (all `at == 0.0`) should see.
+    // an `EndOfTime` run (all `at == 0.0`) should see.
     events.sort_by(|a, b| a.at().total_cmp(&b.at()));
     events
 }

@@ -18,14 +18,15 @@
 //! * the [`clocked`] module is phase 2 under **simulated time** (§4.2 made temporal): a
 //!   discrete-event collector feeds answers to the online processors as they arrive,
 //!   cancels early-terminated HITs mid-flight so uncollected assignments are never paid,
-//!   and reports latency, makespan and reclaimed worker-minutes,
+//!   and reports latency, makespan and reclaimed worker-minutes; over a platform without
+//!   arrival look-ahead it is also the engine's end-of-time collection,
 //! * the [`scheduler`] module multiplexes **many concurrent jobs** over one shared worker
 //!   pool: disjoint worker leases per in-flight HIT (RAII guards that release on drop, so
 //!   no error or panic strands workers), a fleet-wide lock-striped shared accuracy
 //!   registry, and round-robin/priority dispatch (the §2.1 job manager at scale) —
-//!   unclocked via [`scheduler::JobScheduler::run`], time-aware via
-//!   [`scheduler::JobScheduler::run_clocked`], where cancelled HITs hand their leases to
-//!   waiting jobs mid-run, or **parallel across OS threads** via
+//!   time-aware via [`scheduler::JobScheduler::run_clocked`], where cancelled HITs hand
+//!   their leases to waiting jobs mid-run, the same loop polling at the end of time via
+//!   [`scheduler::JobScheduler::run`], or **parallel across OS threads** via
 //!   [`scheduler::JobScheduler::run_parallel`] over a sharded platform
 //!   (`cdas_crowd::sharded::ShardedPlatform`), of which `run_clocked` is the one-shard
 //!   special case, and
@@ -34,8 +35,8 @@
 //! * the [`fleet`] module is the **front door**: a [`fleet::Fleet`] facade whose
 //!   typestate builder collapses the pool/platform/ledger/scheduler wiring into one
 //!   chain, whose [`fleet::JobSpec`]s layer job overrides over fleet defaults, and whose
-//!   single [`fleet::Fleet::run`] entry point dispatches to the three scheduler paths by
-//!   [`fleet::ExecutionMode`] and streams [`fleet::FleetEvent`]s back, and
+//!   single [`fleet::Fleet::run`] entry point dispatches to the scheduler's entry points
+//!   by [`fleet::ExecutionMode`] and streams [`fleet::FleetEvent`]s back, and
 //! * the [`fixtures`] module holds the deterministic demo questions examples, benches
 //!   and doc-tests feed the scheduler (not part of the production pipeline).
 

@@ -99,13 +99,13 @@ pub struct JobReport {
     pub ticks_waited: usize,
     /// Distinct workers that served this job across all its batches.
     pub distinct_workers: usize,
-    /// Simulated time of the job's first final verdict on a real question (clocked runs
-    /// only; `None` for unclocked runs or when nothing was accepted).
+    /// Simulated time of the job's first final verdict on a real question (0.0 in
+    /// end-of-time runs; `None` when nothing was accepted).
     pub time_to_first_verdict: Option<f64>,
-    /// Simulated time the job's last batch completed (0.0 for unclocked runs).
+    /// Simulated time the job's last batch completed (0.0 in end-of-time runs).
     pub completed_at: f64,
     /// Simulated worker-minutes handed back to the pool by this job's mid-flight
-    /// cancellations (0.0 for unclocked runs — cancelling at the end of time reclaims
+    /// cancellations (0.0 in end-of-time runs — cancelling at the end of time reclaims
     /// nothing).
     pub reclaimed_minutes: f64,
     /// Per-question answers of this job cancelled before delivery (never paid).
@@ -158,7 +158,7 @@ pub struct FleetReport {
     /// *events*, not time — see [`makespan`](Self::makespan).
     pub ticks: usize,
     /// Simulated minutes from the start of the run to the completion of its last batch
-    /// (0.0 for unclocked runs, which have no notion of time).
+    /// (0.0 in end-of-time runs, whose clock never moves).
     pub makespan: f64,
     /// Simulated worker-minutes reclaimed fleet-wide by mid-flight cancellations.
     pub reclaimed_minutes: f64,
@@ -198,7 +198,7 @@ impl FleetReport {
         per_tick.values().copied().max().unwrap_or(0)
     }
 
-    /// Fleet throughput in real questions per simulated minute (0 for unclocked runs).
+    /// Fleet throughput in real questions per simulated minute (0 for end-of-time runs).
     pub fn questions_per_minute(&self) -> f64 {
         if self.makespan <= 0.0 {
             0.0
@@ -223,8 +223,9 @@ impl FleetReport {
     /// the work was partitioned (`1.0` for one shard, approaching the shard count under
     /// perfect balance), **not** the achieved end-to-end ratio: each shard times only its
     /// own loop, so an oversubscribed or single-core host that serializes the threads
-    /// still reports the partition-balance number. For measured wall-clock against
-    /// `run_clocked`, see `benches/parallel.rs`, which times whole runs.
+    /// still reports the partition-balance number. For measured wall-clock against one
+    /// shard, see the `heap-*shard` rows of the `perf_snapshot` recorder, which time
+    /// whole runs.
     pub fn parallel_speedup(&self) -> f64 {
         let total: f64 = self.shards.iter().map(|s| s.wall_seconds).sum();
         let slowest = self

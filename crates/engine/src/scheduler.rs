@@ -11,24 +11,24 @@
 //!    [`PoolLedger`]. Leases are disjoint, so two in-flight HITs never share a worker and
 //!    no worker is ever assigned twice to one question. A job that cannot get a lease
 //!    waits for the next tick (recorded as contention in its [`crate::metrics::JobReport`]).
-//! 2. **Ingest (phase 2)** — every in-flight batch is collected: answers polled, gold
-//!    estimates absorbed into one fleet-wide
-//!    [`SharedAccuracyRegistry`] behind an
+//! 2. **Ingest (phase 2)** — in-flight batches ingest the answers that have arrived:
+//!    gold estimates absorbed into one fleet-wide [`SharedAccuracyRegistry`] behind an
 //!    [`AccuracyCache`], questions verified with the *shared* estimates (a worker's
-//!    accuracy learned in job A immediately reweights their votes in job B), and the lease
-//!    released.
+//!    accuracy learned in job A immediately reweights their votes in job B), and a
+//!    completed batch's lease released.
 //!
 //! The run ends when every job has ingested its last batch, returning a
 //! [`crate::metrics::FleetReport`] with per-job and fleet-wide accuracy/cost/throughput.
 //!
-//! [`JobScheduler::run`] polls every batch at the end of time — batches live exactly one
-//! tick, and ticks are not time. [`JobScheduler::run_clocked`] is the discrete-event
-//! variant: ticks advance a [`SimClock`] to the next answer arrival under the pool's
+//! There is one loop. [`JobScheduler::run_clocked`] is the discrete-event form: ticks
+//! advance a [`SimClock`] to the next answer arrival under the pool's
 //! [`cdas_crowd::arrival::LatencyModel`], batches stay in flight while their workers are
 //! genuinely working, early-terminated HITs are cancelled *mid-flight* with their leases
 //! returned to the pool for other jobs to pick up, and the report additionally carries
-//! makespan, time-to-first-verdict and worker-minutes reclaimed.
-//! [`JobScheduler::run_parallel`] is the scale-out variant: it stripes the jobs across
+//! makespan, time-to-first-verdict and worker-minutes reclaimed. [`JobScheduler::run`] is
+//! the same loop over a view of the platform without arrival look-ahead: every batch is
+//! polled once, at the end of time, in the tick that dispatched it, and the clock never
+//! moves. [`JobScheduler::run_parallel`] is the scale-out variant: it stripes the jobs across
 //! the shards of a [`ShardedPlatform`] and runs one clocked event loop **per OS thread**,
 //! sharing only the lock-striped [`SharedAccuracyRegistry`] — `run_clocked` is the
 //! one-shard special case of the same code path, and the report gains per-shard rollups
@@ -77,7 +77,7 @@ use serde::{Deserialize, Serialize};
 
 use cdas_crowd::clock::SimClock;
 
-use crate::clocked::ClockedCollector;
+use crate::clocked::{ClockedCollector, EndOfTime};
 use crate::engine::{BatchTicket, CrowdsourcingEngine, EngineConfig, HitOutcome};
 use crate::job_manager::{AnalyticsJob, JobKind};
 use crate::metrics::{score_hits, FleetReport, JobReport, ShardReport};
@@ -126,7 +126,10 @@ pub struct SchedulerConfig {
     /// Seed for the lease-selection RNG (worker checkout is randomized like §3.1's
     /// "n random workers", but only over the *free* part of the roster).
     pub seed: u64,
-    /// Safety valve: abort with [`CdasError::SchedulerStalled`] after this many ticks.
+    /// Safety valve: abort with [`CdasError::SchedulerStalled`] after this many ticks, or
+    /// after twice the fleet's expected worker submissions if that is larger (a tick
+    /// ingests at least one submission, so a large fleet that is still progressing is
+    /// never cut off).
     pub max_ticks: usize,
     /// How the clocked loop finds the next arrival event (heap vs. the scan oracle).
     pub discovery: ArrivalDiscovery,
@@ -220,7 +223,8 @@ pub struct DispatchRecord {
     pub hit: HitId,
     /// The leased workers the HIT was restricted to.
     pub workers: Vec<WorkerId>,
-    /// Simulated time of the dispatch (0.0 in unclocked runs, where ticks are not time).
+    /// Simulated time of the dispatch (0.0 in end-of-time runs, where the clock never
+    /// moves).
     pub at: f64,
 }
 
@@ -247,7 +251,7 @@ pub struct BatchCommit {
     pub outcome: HitOutcome,
     /// What the batch charged the requester (`outcome.cost`).
     pub charge: f64,
-    /// Simulated completion time (0.0 in unclocked runs).
+    /// Simulated completion time (0.0 in end-of-time runs).
     pub completed_at: f64,
     /// Simulated time of the batch's first verdict, if any arrived.
     pub first_verdict_at: Option<f64>,
@@ -261,8 +265,8 @@ pub struct BatchCommit {
 
 /// Observer of the scheduler's durable state changes, called synchronously at the three
 /// points recovery needs to replay a run: dispatch (money committed to the platform),
-/// per-poll charge (incremental spend in clocked runs), and batch commit (outcome made
-/// part of run state). The write-ahead journal is the canonical implementation.
+/// per-poll charge (incremental spend), and batch commit (outcome made part of run
+/// state). The write-ahead journal is the canonical implementation.
 ///
 /// In parallel runs each shard's sub-scheduler reports through a relabeling shim, so
 /// observers always see **global** job ids; calls from different shard threads may
@@ -273,8 +277,8 @@ pub trait RunObserver: Send + Sync {
         let _ = dispatch;
     }
 
-    /// A clocked poll charged the requester `amount` for answers of `hit` at simulated
-    /// time `at`. Never called with `amount == 0.0`.
+    /// A poll charged the requester `amount` for answers of `hit` at simulated time `at`
+    /// (`f64::INFINITY` for an end-of-time poll). Never called with `amount == 0.0`.
     fn on_charge(&self, job: JobId, hit: HitId, amount: f64, at: f64) {
         let _ = (job, hit, amount, at);
     }
@@ -320,26 +324,11 @@ impl RunObserver for ShardRelabel {
     }
 }
 
-/// A batch published in the current tick's dispatch phase, awaiting this tick's ingest
-/// phase. Batches live exactly one tick: dispatch leases and publishes, ingest collects,
-/// and the [`WorkerLease`] guard releases on drop — at the end of the tick on the happy
-/// path, or during unwinding/early return on every other path, so leases are held only
-/// while HITs genuinely coexist and can never leak.
-struct Inflight {
-    job: usize,
-    /// The batch's range within its job's question list (avoids storing the questions
-    /// twice — the ticket owns the published copy, the job owns the original).
-    range: std::ops::Range<usize>,
-    ticket: BatchTicket,
-    /// RAII guard: dropping the `Inflight` returns the workers to the ledger.
-    _lease: WorkerLease,
-}
-
-/// A batch in flight in a **clocked** run. Unlike [`Inflight`], it lives across ticks:
-/// the lease guard is held for exactly as long as the HIT is genuinely running and drops
-/// the moment the batch completes — naturally, by mid-flight cancellation, or because an
-/// error (or panic) tore the run down — so other jobs can lease the freed workers while
-/// slower HITs are still out, and no failure mode strands workers.
+/// A batch in flight. The lease guard is held for exactly as long as the HIT is
+/// genuinely running and drops the moment the batch completes — naturally, by mid-flight
+/// cancellation, or because an error (or panic) tore the run down — so other jobs can
+/// lease the freed workers while slower HITs are still out, and no failure mode strands
+/// workers.
 struct ClockedInflight {
     job: usize,
     range: std::ops::Range<usize>,
@@ -366,7 +355,7 @@ struct JobState {
     runs: Vec<(std::ops::Range<usize>, HitOutcome)>,
     ticks_waited: usize,
     workers_seen: BTreeSet<WorkerId>,
-    // Clocked-run rollups; stay at their defaults in unclocked runs.
+    // Simulated-time rollups; every instant is 0.0 in end-of-time runs.
     completed_at: f64,
     first_verdict_at: Option<f64>,
     reclaimed_minutes: f64,
@@ -510,8 +499,12 @@ impl JobScheduler {
         order
     }
 
-    /// Run every submitted job to completion, interleaving phase-1 publishes and phase-2
-    /// ingestion across jobs each tick.
+    /// Run every submitted job to completion with every batch polled at the end of time:
+    /// the loop of [`run_clocked`](Self::run_clocked) over a view of `platform` without
+    /// arrival look-ahead. Each tick dispatches one batch per unfinished job, in policy
+    /// order, for as long as the ledger can satisfy the lease, then polls every in-flight
+    /// batch once — so batches live exactly one tick, the clock never moves, and every
+    /// dispatch `at`, `completed_at` and the `makespan` stay 0.0.
     ///
     /// Errors with [`CdasError::PoolExhausted`] when a job's worker demand exceeds the
     /// roster outright, and [`CdasError::SchedulerStalled`] if a tick ever makes no
@@ -541,79 +534,7 @@ impl JobScheduler {
     /// assert!(report.registry_size > 0, "gold estimates were shared");
     /// ```
     pub fn run<P: CrowdPlatform>(&mut self, platform: &mut P) -> Result<FleetReport> {
-        // cdas-allow(determinism): wall-clock telemetry only feeds `wall_seconds`, which report equality ignores
-        let started = Instant::now();
-        self.check_feasibility(self.ledger.roster_len())?;
-        let mut dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut ticks = 0usize;
-        while self.jobs.iter().any(|j| !j.finished()) {
-            ticks += 1;
-            if ticks > self.config.max_ticks {
-                return Err(CdasError::SchedulerStalled { ticks });
-            }
-            // Phase 1: dispatch — one batch per unfinished job, policy order, for as long
-            // as the ledger can satisfy the lease. The lease guards of this tick's batches
-            // are all held simultaneously, which is what keeps concurrent HITs disjoint.
-            let mut inflight: Vec<Inflight> = Vec::new();
-            for idx in self.dispatch_order(ticks) {
-                if self.jobs.get(idx).map_or(true, |j| j.finished()) {
-                    continue;
-                }
-                if let Some((range, ticket, lease)) =
-                    self.try_dispatch(idx, ticks, 0.0, platform, &mut dispatches)?
-                {
-                    inflight.push(Inflight {
-                        job: idx,
-                        range,
-                        ticket,
-                        _lease: lease,
-                    });
-                }
-            }
-
-            if inflight.is_empty() {
-                // Unfinished jobs exist (loop condition) but none could lease: with all
-                // leases released at tick end this can only be a progress bug.
-                return Err(CdasError::SchedulerStalled { ticks });
-            }
-
-            // Phase 2: ingest every in-flight batch, sharing estimates as we go. Each
-            // batch's lease guard drops at the end of its iteration — and the whole
-            // vector unwinds on an early `?` return — so no path, happy or failing, can
-            // leak workers out of the roster.
-            for batch in inflight {
-                let observer = self.observer.clone();
-                // A batch's job index came from this scheduler's own dispatch loop; an
-                // unknown id would mean the in-flight set was corrupted, and dropping
-                // the batch (lease and all) is the panic-free way out.
-                let Some(state) = self.jobs.get_mut(batch.job) else {
-                    continue;
-                };
-                let outcome =
-                    state
-                        .engine
-                        .collect_batch_cached(platform, batch.ticket, &self.cache)?;
-                if let Some(observer) = &observer {
-                    observer.on_commit(&BatchCommit {
-                        job: JobId(batch.job),
-                        seq: state.runs.len(),
-                        hit: outcome.hit,
-                        range: batch.range.clone(),
-                        charge: outcome.cost,
-                        completed_at: 0.0,
-                        first_verdict_at: None,
-                        reclaimed_minutes: 0.0,
-                        answers_cancelled: 0,
-                        cancelled: false,
-                        outcome: outcome.clone(),
-                    });
-                }
-                state.runs.push((batch.range, outcome));
-            }
-        }
-
-        let seed = self.seed_shard(ticks, 0.0, started.elapsed().as_secs_f64());
-        Ok(self.report(ticks, dispatches, 0.0, vec![seed]))
+        self.run_clocked(&mut EndOfTime(platform))
     }
 
     /// Run every submitted job to completion under **simulated time**: a discrete-event
@@ -1151,14 +1072,6 @@ impl JobScheduler {
                         observer.on_charge(JobId(entry.job), hit, charged, poll_at);
                     }
                 }
-                if poll_at.is_infinite() {
-                    // End-of-time drain (a platform without arrival look-ahead): the
-                    // answers carry their own arrival times, so move the clock to the
-                    // latest one before stamping verdicts and completions with it.
-                    if let Some(last) = answers.last() {
-                        clock.advance_to(last.arrived_at);
-                    }
-                }
                 let terminated =
                     entry
                         .collector
@@ -1191,8 +1104,8 @@ impl JobScheduler {
                 let clocked = batch
                     .collector
                     .finalize(clock.now(), receipt, Some(&self.cache))?;
-                // Same provenance as the unclocked loop: the index is ours, so a miss
-                // can only mean a corrupted in-flight set — skip, don't panic.
+                // The index came from this scheduler's own dispatch loop, so a miss can
+                // only mean a corrupted in-flight set — skip, don't panic.
                 let Some(state) = self.jobs.get_mut(batch.job) else {
                     continue;
                 };
@@ -1224,9 +1137,9 @@ impl JobScheduler {
         Ok(ticks)
     }
 
-    /// Phase-1 dispatch for one job, shared by the unclocked and clocked loops: lease the
-    /// job's workers, slice its next batch, publish to the leased workers, and record the
-    /// dispatch at tick `tick` / simulated time `at`. Returns `None` — after recording
+    /// Phase-1 dispatch for one job: lease the job's workers, slice its next batch,
+    /// publish to the leased workers, and record the dispatch at tick `tick` / simulated
+    /// time `at`. Returns `None` — after recording
     /// the wait — when the ledger cannot satisfy the lease right now. On success the
     /// [`WorkerLease`] guard is handed to the caller, whose drop is the release.
     fn try_dispatch<P: CrowdPlatform>(

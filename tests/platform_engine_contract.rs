@@ -1,11 +1,15 @@
 //! Integration test: the contract between the crowdsourcing engine and the crowd platform —
 //! assignment counts, answer delivery, cancellation, and cost accounting.
 
+use std::collections::BTreeMap;
+
 use cdas::core::online::TerminationStrategy;
-use cdas::core::types::{AnswerDomain, Label, QuestionId};
+use cdas::core::types::{AnswerDomain, HitId, Label, QuestionId};
 use cdas::crowd::hit::HitRequest;
+use cdas::crowd::platform::WorkerAnswer;
 use cdas::crowd::question::CrowdQuestion;
 use cdas::engine::engine::AccuracySource;
+use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
 
 fn questions(count: u64) -> Vec<CrowdQuestion> {
@@ -170,4 +174,129 @@ fn privacy_manager_blocks_workers_and_masks_terms() {
     assert!(privacy.allows_worker(WorkerId(3)));
     let masked = privacy.sanitize("Acme Corp quarterly report");
     assert!(!masked.contains("Acme Corp"));
+}
+
+/// Counts the polls and cancels each HIT receives.
+struct Counting {
+    inner: SimulatedPlatform,
+    polls: BTreeMap<HitId, usize>,
+    cancels: BTreeMap<HitId, usize>,
+}
+
+impl CrowdPlatform for Counting {
+    fn publish(&mut self, request: HitRequest) -> HitId {
+        self.inner.publish(request)
+    }
+    fn publish_to(
+        &mut self,
+        request: HitRequest,
+        workers: &[cdas::core::types::WorkerId],
+    ) -> HitId {
+        self.inner.publish_to(request, workers)
+    }
+    fn advance_time(&mut self, now: f64) {
+        self.inner.advance_time(now);
+    }
+    fn poll(&mut self, hit: HitId, now: f64) -> Vec<WorkerAnswer> {
+        *self.polls.entry(hit).or_default() += 1;
+        self.inner.poll(hit, now)
+    }
+    fn next_arrival(&self, hit: HitId) -> Option<f64> {
+        self.inner.next_arrival(hit)
+    }
+    fn cancel(&mut self, hit: HitId, now: f64) -> CancelReceipt {
+        *self.cancels.entry(hit).or_default() += 1;
+        self.inner.cancel(hit, now)
+    }
+    fn total_cost(&self) -> f64 {
+        self.inner.total_cost()
+    }
+}
+
+/// A crowd whose workers finish at different times, so a platform with look-ahead
+/// would deliver each HIT over several events.
+fn staggered(pool_size: usize, accuracy: f64, seed: u64) -> (Counting, PoolLedger) {
+    let pool = WorkerPool::generate(&PoolConfig {
+        latency: LatencyModel::Exponential { mean: 5.0 },
+        ..PoolConfig::clean(pool_size, accuracy, seed)
+    });
+    let ledger = PoolLedger::from_pool(&pool);
+    let platform = Counting {
+        inner: SimulatedPlatform::new(pool, CostModel::default(), seed),
+        polls: BTreeMap::new(),
+        cancels: BTreeMap::new(),
+    };
+    (platform, ledger)
+}
+
+#[test]
+fn end_of_time_run_polls_each_hit_once_and_never_moves_the_clock() {
+    let (mut platform, ledger) = staggered(16, 0.85, 5);
+    let mut scheduler = JobScheduler::new(SchedulerConfig::default(), ledger);
+    for (i, termination) in [None, Some(TerminationStrategy::ExpMax)]
+        .into_iter()
+        .enumerate()
+    {
+        scheduler.submit(
+            ScheduledJob::named(
+                JobKind::SentimentAnalytics,
+                format!("job-{i}"),
+                demo_questions(9, 3),
+            )
+            .with_engine(EngineConfig {
+                workers: WorkerCountPolicy::Fixed(7),
+                termination,
+                domain_size: Some(3),
+                ..EngineConfig::default()
+            })
+            .with_batch_size(4),
+        );
+    }
+    let report = scheduler.run(&mut platform).unwrap();
+
+    assert_eq!(report.fleet.questions, 18);
+    assert!(report.dispatches.len() > 2);
+    for dispatch in &report.dispatches {
+        assert_eq!(
+            platform.polls.get(&dispatch.hit),
+            Some(&1),
+            "HIT {:?} must be polled exactly once",
+            dispatch.hit
+        );
+        assert_eq!(dispatch.at, 0.0);
+    }
+    assert_eq!(platform.polls.len(), report.dispatches.len());
+    assert_eq!(report.makespan, 0.0);
+    for job in &report.jobs {
+        assert_eq!(job.completed_at, 0.0);
+        assert_eq!(job.reclaimed_minutes, 0.0);
+    }
+    assert!((report.fleet.cost - platform.total_cost()).abs() < 1e-9);
+}
+
+#[test]
+fn collect_batch_cancels_an_early_terminated_hit_exactly_once() {
+    let engine = CrowdsourcingEngine::new(EngineConfig {
+        workers: WorkerCountPolicy::Fixed(15),
+        verification: VerificationStrategy::Probabilistic,
+        termination: Some(TerminationStrategy::ExpMax),
+        domain_size: Some(3),
+        ..EngineConfig::default()
+    });
+    let (mut platform, _) = staggered(60, 0.9, 7);
+    let ticket = engine.publish_batch(&mut platform, questions(8)).unwrap();
+    let hit = ticket.hit;
+    let outcome = engine.collect_batch(&mut platform, ticket).unwrap();
+
+    assert!(
+        outcome.verdicts.iter().all(|v| v.answers_used < 15),
+        "every question terminated before its last answer"
+    );
+    assert_eq!(platform.polls.get(&hit), Some(&1), "one end-of-time poll");
+    assert_eq!(
+        platform.cancels.get(&hit),
+        Some(&1),
+        "the terminated HIT is cancelled exactly once"
+    );
+    assert!((outcome.cost - platform.total_cost()).abs() < 1e-9);
 }
