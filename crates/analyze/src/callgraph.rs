@@ -7,8 +7,8 @@
 //! transitive closure may acquire, and whether that closure may perform
 //! platform/journal I/O. A *lock class* names one `Mutex`/`RwLock` value —
 //! `(defining file, field name)`, e.g. `crates/crowd/src/lease.rs:table` —
-//! so the two stripes helpers of `SharedAccuracyRegistry` collapse into one
-//! `stripes` class, which is exactly the granularity deadlock ordering needs.
+//! so the read and write helpers of `SharedAccuracyRegistry` collapse into one
+//! `registry` class, which is exactly the granularity deadlock ordering needs.
 //!
 //! Guard-returning helpers (`fn ... -> MutexGuard<..>`) are first-class: a
 //! call like `self.state()` acquires the callee's internal class, and a

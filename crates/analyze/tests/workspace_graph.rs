@@ -23,7 +23,7 @@ fn index_resolves_unique_names_and_rejects_ambiguous_ones() {
     let mut out = Vec::new();
     let (index, _, _) = build_pass2(&config, &files, &mut out);
     // Unique guard helpers the lock rule leans on.
-    for name in ["locked", "relock", "read_stripe", "write_stripe"] {
+    for name in ["locked", "relock", "read_registry", "write_registry"] {
         assert!(
             index.resolve(name).is_some(),
             "`{name}` should resolve uniquely"
@@ -31,7 +31,7 @@ fn index_resolves_unique_names_and_rejects_ambiguous_ones() {
     }
     // Ambiguous names must never resolve — that is the zero-false-positive
     // contract of unique-name resolution.
-    for name in ["append", "release", "snapshot", "new", "default_accuracy"] {
+    for name in ["append", "release", "snapshot", "new", "accuracy_of"] {
         assert!(
             index.resolve(name).is_none(),
             "`{name}` is defined more than once and must stay unresolved"
@@ -51,7 +51,7 @@ fn lock_graph_covers_prod_locks_and_is_cycle_free() {
     // Every lock the prod crates own shows up as a class.
     for class in [
         "crates/crowd/src/lease.rs:table",
-        "crates/core/src/sharing.rs:stripe",
+        "crates/core/src/sharing.rs:registry",
         "crates/engine/src/journal/recovery.rs:state",
         "crates/engine/src/journal/recovery.rs:journal",
         "crates/engine/src/journal/recovery.rs:failure",

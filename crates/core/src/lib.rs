@@ -15,7 +15,7 @@
 //! 5. present aggregated results with per-answer percentages and keyword reasons
 //!    ([`presentation`]), and
 //! 6. **share** the worker-accuracy estimates learned by one job with every other job
-//!    multiplexed over the same crowd, behind a read-through cache ([`sharing`]).
+//!    multiplexed over the same crowd ([`sharing`]).
 //!
 //! The crate is deliberately free of I/O and randomness: it consumes plain observations
 //! (who answered what, with which estimated accuracy) and produces decisions. The

@@ -7,24 +7,18 @@
 //! other job. This module provides the two pieces the multi-job scheduler
 //! (`cdas_engine::scheduler`) builds on:
 //!
-//! * [`SharedAccuracyRegistry`] — a cheaply clonable, generation-counted, **thread-safe**
-//!   handle to one logical [`AccuracyRegistry`] shared by every job. Jobs
-//!   [`absorb`](SharedAccuracyRegistry::absorb) the estimates each HIT produces; absorbing
-//!   merges per worker, weighting by the number of gold questions behind each estimate.
-//!   Internally the registry is **lock-striped**: entries are spread over
-//!   [`STRIPES`] independently locked buckets keyed by worker id, so shard threads of a
-//!   parallel fleet ([`run_parallel`]) writing estimates for *different* workers never
-//!   contend on one global lock. Per-worker merges stay atomic (a worker's estimates live
-//!   in exactly one stripe), and because the sample-weighted merge pools per worker, the
-//!   final contents are independent of the interleaving of writers — absorbing the same
-//!   per-worker estimate sequences in any thread order converges to the same registry.
-//! * [`AccuracyCache`] — a small read-through cache in front of the shared registry. The
-//!   verification hot loop asks for a registry snapshot once per HIT batch; the cache
-//!   re-serves the previous snapshot for as long as the shared generation has not moved,
-//!   mirroring the shared-cache discipline of multi-tenant dispatch loops. The cache is
-//!   deliberately *not* `Sync` — each shard thread owns its own cache over the same shared
-//!   registry, which is exactly the per-core-cache / shared-store split of a sharded
-//!   storage server.
+//! * [`SharedAccuracyRegistry`] — a cheaply clonable, generation-counted, thread-safe
+//!   handle to one [`AccuracyRegistry`] behind one `RwLock`, shared by every job of a
+//!   fleet. Jobs [`record`](SharedAccuracyRegistry::record) and
+//!   [`absorb`](SharedAccuracyRegistry::absorb) the estimates their gold questions
+//!   produce; both merge per worker, weighting by the number of gold questions behind
+//!   each estimate. A parallel fleet ([`run_parallel`]) never writes one registry from
+//!   two threads: each shard runs over its own registry seeded from a snapshot, and the
+//!   parent merges the shards' changes back after the threads join.
+//! * [`AccuracyCache`] — a scheduler's read handle on the shared registry. It reads the
+//!   registry in place and counts each read as a hit (no write since the handle's
+//!   previous read) or a miss, which the fleet report exposes. It is not `Sync`: each
+//!   scheduler, and so each shard thread, owns its own.
 //!
 //! [`run_parallel`]: ../../cdas_engine/scheduler/struct.JobScheduler.html#method.run_parallel
 //!
@@ -38,69 +32,36 @@
 //!
 //! let cache = AccuracyCache::new(shared);
 //! assert_eq!(cache.snapshot().accuracy_of(WorkerId(7)), Some(0.9));
-//! let _ = cache.snapshot(); // generation unchanged: served from the cache
+//! let _ = cache.snapshot(); // no write since the previous read: a hit
 //! assert_eq!(cache.hits(), 1);
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::accuracy::AccuracyRegistry;
 use crate::types::WorkerId;
 
-/// Generation value meaning "no snapshot taken yet".
+/// Generation value meaning "not read yet".
 const NEVER: u64 = u64::MAX;
 
-/// Number of independently locked buckets the shared registry spreads workers over.
-///
-/// Sixteen stripes keeps contention negligible for any plausible shard count (a parallel
-/// fleet runs one thread per platform shard, and shards own disjoint worker partitions —
-/// two threads only ever meet on a stripe, never on a worker).
-pub const STRIPES: usize = 16;
-
-#[derive(Debug)]
-struct StripedState {
-    /// The buckets; a worker's entry lives in stripe `worker.0 % STRIPES`.
-    /// A fixed-size array (not a `Vec`) so the type itself proves there are
-    /// always exactly [`STRIPES`] stripes — stripe lookups cannot miss.
-    stripes: Box<[RwLock<AccuracyRegistry>; STRIPES]>,
-    /// Fallback accuracy carried by a seeded registry ([`SharedAccuracyRegistry::with_registry`]),
-    /// preserved so snapshots round-trip the whole [`AccuracyRegistry`] — entries *and*
-    /// default — exactly like the pre-striping implementation's full clone did.
-    default_accuracy: RwLock<Option<f64>>,
-    /// Global write generation, bumped after any stripe changes. Monotone, so a cache
-    /// that re-reads an unchanged generation may safely keep serving its snapshot.
+#[derive(Debug, Default)]
+struct Shared {
+    registry: RwLock<AccuracyRegistry>,
+    /// Write generation, bumped after every write that changed an entry.
     generation: AtomicU64,
 }
 
-impl Default for StripedState {
-    fn default() -> Self {
-        StripedState {
-            stripes: Box::new(std::array::from_fn(|_| RwLock::default())),
-            default_accuracy: RwLock::new(None),
-            generation: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A cheaply clonable, thread-safe handle to one logical [`AccuracyRegistry`] shared
-/// across jobs — and, in a parallel fleet, across shard threads.
+/// A cheaply clonable, thread-safe handle to one [`AccuracyRegistry`] shared across jobs.
 ///
-/// Every clone refers to the same underlying registry; writes through any handle are
-/// visible to all. Entries are lock-striped by worker id ([`STRIPES`] buckets), so writers
-/// touching different workers rarely share a lock and per-worker merges remain atomic. A
-/// monotonically increasing *generation* is bumped on every write that changed an entry,
-/// which lets read-side caches ([`AccuracyCache`]) detect staleness without diffing
-/// registries.
+/// Every clone refers to the same registry; writes through any handle are visible to
+/// all. A monotonically increasing *generation* is bumped on every write that changed an
+/// entry, which lets [`AccuracyCache`] tell whether a write landed between two reads
+/// without diffing registries.
 #[derive(Debug, Clone, Default)]
 pub struct SharedAccuracyRegistry {
-    inner: Arc<StripedState>,
-}
-
-/// Index of the stripe a worker's estimate lives in.
-fn stripe_of(worker: WorkerId) -> usize {
-    (worker.0 % STRIPES as u64) as usize
+    inner: Arc<Shared>,
 }
 
 impl SharedAccuracyRegistry {
@@ -109,69 +70,46 @@ impl SharedAccuracyRegistry {
         Self::default()
     }
 
-    /// A shared registry seeded with existing estimates (e.g. from a previous fleet run).
-    /// The seed's configured default accuracy, if any, is carried along and re-applied to
-    /// every [`snapshot`](Self::snapshot).
+    /// A shared registry seeded with existing estimates (e.g. from a previous fleet run),
+    /// including the seed's configured default accuracy.
     pub fn with_registry(registry: AccuracyRegistry) -> Self {
-        let shared = Self::new();
-        // Poison recovery is sound here and in the accessors below: every
-        // critical section is a handful of scalar reads/writes on one stripe
-        // (no multi-step invariants), so a panic mid-section cannot leave a
-        // torn state — the worst case is a spuriously stale estimate.
-        *shared
-            .inner
-            .default_accuracy
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = registry.default_accuracy();
-        for (&worker, entry) in registry.iter() {
-            let mut stripe = shared.write_stripe(stripe_of(worker));
-            stripe.set(worker, entry.accuracy, entry.samples);
+        SharedAccuracyRegistry {
+            inner: Arc::new(Shared {
+                registry: RwLock::new(registry),
+                generation: AtomicU64::new(0),
+            }),
         }
-        shared
     }
 
-    fn default_accuracy(&self) -> Option<f64> {
-        *self
-            .inner
-            .default_accuracy
+    // Poison recovery is sound in both helpers: a write sets whole entries one at a
+    // time, so a panic mid-write leaves every entry valid — at worst a batch is merged
+    // only in part.
+    fn read_registry(&self) -> RwLockReadGuard<'_, AccuracyRegistry> {
+        self.inner
+            .registry
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The stripe lock at `i`. Total over any index: every caller derives `i`
-    /// from [`stripe_of`] or a `0..STRIPES` loop, and a stray out-of-range
-    /// index (unreachable today) aliases stripe 0 instead of panicking
-    /// mid-HIT.
-    fn stripe(&self, i: usize) -> &RwLock<AccuracyRegistry> {
-        let [first, ..] = &*self.inner.stripes;
-        self.inner.stripes.get(i).unwrap_or(first)
-    }
-
-    fn read_stripe(&self, i: usize) -> std::sync::RwLockReadGuard<'_, AccuracyRegistry> {
-        let stripe = self.stripe(i);
-        stripe
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write_stripe(&self, i: usize) -> std::sync::RwLockWriteGuard<'_, AccuracyRegistry> {
-        let stripe = self.stripe(i);
-        stripe
+    fn write_registry(&self) -> RwLockWriteGuard<'_, AccuracyRegistry> {
+        self.inner
+            .registry
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Mark a write that changed at least one entry.
+    fn bump(&self) {
+        self.inner.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Record (or merge) a single worker estimate backed by `samples` gold questions.
     ///
-    /// Merging follows the same policy as [`absorb`](Self::absorb), but only the worker's
-    /// own stripe is locked — this is the hot write of the clocked ingestion path.
+    /// Merging follows the same policy as [`absorb`](Self::absorb); this is the hot write
+    /// of the clocked ingestion path.
     pub fn record(&self, worker: WorkerId, accuracy: f64, samples: usize) {
-        let changed = {
-            let mut stripe = self.write_stripe(stripe_of(worker));
-            merge_entry(&mut stripe, worker, accuracy, samples)
-        };
-        if changed {
-            self.inner.generation.fetch_add(1, Ordering::AcqRel);
+        if merge_entry(&mut self.write_registry(), worker, accuracy, samples) {
+            self.bump();
         }
     }
 
@@ -181,23 +119,18 @@ impl SharedAccuracyRegistry {
     /// Per worker, the merge pools sample counts: an existing estimate backed by `s₁` gold
     /// questions and a new one backed by `s₂` combine into the sample-weighted mean backed
     /// by `s₁ + s₂`. Injected estimates (`samples == 0`, e.g. a simulation oracle) never
-    /// displace sampled ones; among injected estimates the latest wins.
-    ///
-    /// Stripes are locked one at a time (never nested), so concurrent absorbs from shard
-    /// threads cannot deadlock; each worker's merge is atomic under its stripe lock.
+    /// displace sampled ones; among injected estimates the latest wins, and re-setting an
+    /// injected estimate to its current value changes nothing.
     pub fn absorb(&self, estimates: &AccuracyRegistry) -> usize {
-        if estimates.is_empty() {
-            return 0;
-        }
-        let mut changed = 0usize;
+        let mut registry = self.write_registry();
+        let mut changed = 0;
         for (&worker, incoming) in estimates.iter() {
-            let mut stripe = self.write_stripe(stripe_of(worker));
-            if merge_entry(&mut stripe, worker, incoming.accuracy, incoming.samples) {
+            if merge_entry(&mut registry, worker, incoming.accuracy, incoming.samples) {
                 changed += 1;
             }
         }
         if changed > 0 {
-            self.inner.generation.fetch_add(1, Ordering::AcqRel);
+            self.bump();
         }
         changed
     }
@@ -215,23 +148,20 @@ impl SharedAccuracyRegistry {
     /// Sound because shard rosters are disjoint — each worker's sampled history lives in
     /// exactly one shard.
     pub fn adopt(&self, estimates: &AccuracyRegistry) -> usize {
-        if estimates.is_empty() {
-            return 0;
-        }
-        let mut changed = 0usize;
+        let mut registry = self.write_registry();
+        let mut changed = 0;
         for (&worker, incoming) in estimates.iter() {
-            let mut stripe = self.write_stripe(stripe_of(worker));
-            let same = stripe.get(worker).is_some_and(|current| {
+            let same = registry.get(worker).is_some_and(|current| {
                 current.accuracy.to_bits() == incoming.accuracy.to_bits()
                     && current.samples == incoming.samples
             });
             if !same {
-                stripe.set(worker, incoming.accuracy, incoming.samples);
+                registry.set(worker, incoming.accuracy, incoming.samples);
                 changed += 1;
             }
         }
         if changed > 0 {
-            self.inner.generation.fetch_add(1, Ordering::AcqRel);
+            self.bump();
         }
         changed
     }
@@ -241,176 +171,137 @@ impl SharedAccuracyRegistry {
         self.inner.generation.load(Ordering::Acquire)
     }
 
-    /// An owned copy of the current registry contents, merged across all stripes.
-    ///
-    /// Stripes are copied one at a time; under concurrent writers the snapshot is a
-    /// consistent view of each *stripe*, not a global atomic cut — the registry's merge
-    /// converges regardless of interleaving, so a slightly torn read only means a
-    /// slightly staler estimate, and the generation counter makes any missed write show
-    /// up as staleness at the next cache refresh.
+    /// An owned copy of the current registry, default accuracy included.
     pub fn snapshot(&self) -> AccuracyRegistry {
-        let mut merged = AccuracyRegistry::new();
-        if let Some(default) = self.default_accuracy() {
-            merged = merged.with_default_accuracy(default);
-        }
-        for i in 0..STRIPES {
-            let stripe = self.read_stripe(i);
-            for (&worker, entry) in stripe.iter() {
-                merged.set(worker, entry.accuracy, entry.samples);
-            }
-        }
-        merged
+        self.read_registry().clone()
     }
 
     /// Number of workers with an estimate.
     pub fn len(&self) -> usize {
-        (0..STRIPES).map(|i| self.read_stripe(i).len()).sum()
+        self.read_registry().len()
     }
 
     /// Whether no worker has an estimate yet.
     pub fn is_empty(&self) -> bool {
-        (0..STRIPES).all(|i| self.read_stripe(i).is_empty())
+        self.read_registry().is_empty()
     }
 
     /// The population mean `μ` over all shared estimates, falling back to the seeded
-    /// default accuracy when no worker has an estimate yet (mirroring
-    /// [`AccuracyRegistry::mean_accuracy`]).
+    /// default accuracy when no worker has an estimate yet
+    /// ([`AccuracyRegistry::mean_accuracy`]).
     pub fn mean_accuracy(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for i in 0..STRIPES {
-            let stripe = self.read_stripe(i);
-            for (_, entry) in stripe.iter() {
-                sum += entry.accuracy;
-                count += 1;
-            }
-        }
-        if count > 0 {
-            Some(sum / count as f64)
-        } else {
-            self.default_accuracy()
-        }
+        self.read_registry().mean_accuracy()
     }
 
-    /// A worker's current shared estimate, if any. Locks only the worker's stripe.
+    /// A worker's current shared estimate, if any.
     pub fn accuracy_of(&self, worker: WorkerId) -> Option<f64> {
-        self.read_stripe(stripe_of(worker))
-            .get(worker)
-            .map(|e| e.accuracy)
+        self.read_registry().get(worker).map(|e| e.accuracy)
     }
 }
 
-/// The per-worker merge policy (see [`SharedAccuracyRegistry::absorb`]), applied to one
-/// stripe under its write lock. Returns whether the entry changed.
+/// The per-worker merge policy (see [`SharedAccuracyRegistry::absorb`]), applied under
+/// the registry's write lock. Returns whether the entry changed.
 ///
-/// The incoming accuracy is normalized *before* pooling, exactly as the pre-striping
-/// implementation did by routing every write through [`AccuracyRegistry::set`]: a NaN
-/// becomes 0.5 and out-of-range values clamp into (0, 1), so a degenerate input shifts
-/// the sample-weighted mean by at most its own weight instead of poisoning (NaN) or
-/// inflating (>1) the worker's whole pooled history.
+/// The incoming accuracy is normalized *before* pooling, as [`AccuracyRegistry::set`]
+/// normalizes every write: a NaN becomes 0.5 and out-of-range values clamp into (0, 1),
+/// so a degenerate input shifts the sample-weighted mean by at most its own weight
+/// instead of poisoning (NaN) or inflating (>1) the worker's whole pooled history.
 fn merge_entry(
-    stripe: &mut AccuracyRegistry,
+    registry: &mut AccuracyRegistry,
     worker: WorkerId,
     accuracy: f64,
     samples: usize,
 ) -> bool {
     let accuracy = crate::math::clamp_probability(accuracy);
-    let merged = match stripe.get(worker) {
-        None => Some((accuracy, samples)),
+    let (accuracy, samples) = match registry.get(worker) {
+        None => (accuracy, samples),
+        Some(current) if samples == 0 => {
+            // A sampled estimate outranks an injected one, and re-setting an injected
+            // estimate to its current value is no change.
+            if current.samples > 0 || current.accuracy.to_bits() == accuracy.to_bits() {
+                return false;
+            }
+            (accuracy, 0) // both injected: latest wins
+        }
         Some(current) => {
             let total = current.samples + samples;
-            if samples == 0 && current.samples > 0 {
-                None // a sampled estimate outranks an injected one
-            } else if total == 0 {
-                Some((accuracy, 0)) // both injected: latest wins
-            } else {
-                let pooled = (current.accuracy * current.samples as f64
-                    + accuracy * samples as f64)
-                    / total as f64;
-                Some((pooled, total))
-            }
+            let pooled = (current.accuracy * current.samples as f64 + accuracy * samples as f64)
+                / total as f64;
+            (pooled, total)
         }
     };
-    match merged {
-        Some((accuracy, samples)) => {
-            stripe.set(worker, accuracy, samples);
-            true
-        }
-        None => false,
-    }
+    registry.set(worker, accuracy, samples);
+    true
 }
 
-/// A read-through cache over a [`SharedAccuracyRegistry`].
+/// A scheduler's read handle on a [`SharedAccuracyRegistry`].
 ///
-/// [`snapshot`](AccuracyCache::snapshot) returns the shared registry's contents. A read
-/// only goes to the shared side (lock acquisition + rebuild of the local copy) when the
-/// shared generation has advanced since the last read; otherwise it is served from the
-/// local copy without touching the shared state at all. Batches that absorb new gold
-/// estimates therefore miss, while batches that learned nothing new — gold-free jobs,
-/// steady state after the crowd is fully estimated — hit. [`hits`](AccuracyCache::hits)
-/// and [`misses`](AccuracyCache::misses) expose the cache's effectiveness for fleet
-/// metrics.
+/// [`snapshot`](AccuracyCache::snapshot) and [`accuracy_of`](AccuracyCache::accuracy_of)
+/// read the shared registry in place. Each read counts as a *hit* when no write changed
+/// the registry since this handle's previous read, and as a *miss* otherwise (the first
+/// read is a miss): reads that follow a batch's new gold estimates miss, while reads in
+/// batches that learned nothing new — gold-free jobs, steady state after the crowd is
+/// fully estimated — hit. [`hits`](AccuracyCache::hits) and
+/// [`misses`](AccuracyCache::misses) feed the fleet metrics.
 #[derive(Debug)]
 pub struct AccuracyCache {
     shared: SharedAccuracyRegistry,
-    cached_generation: Cell<u64>,
-    cached: RefCell<AccuracyRegistry>,
+    /// The shared generation at the previous read ([`NEVER`] before the first).
+    last_read: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
 impl AccuracyCache {
-    /// A cache over the given shared registry, initially empty (first read is a miss).
+    /// A read handle on the given shared registry (its first read is a miss).
     pub fn new(shared: SharedAccuracyRegistry) -> Self {
         AccuracyCache {
             shared,
-            cached_generation: Cell::new(NEVER),
-            cached: RefCell::new(AccuracyRegistry::new()),
+            last_read: Cell::new(NEVER),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
     }
 
-    /// The shared registry behind the cache (for absorbing new estimates).
+    /// The shared registry behind the handle (for absorbing new estimates).
     pub fn shared(&self) -> &SharedAccuracyRegistry {
         &self.shared
     }
 
-    fn refresh(&self) {
+    /// Count one read: a hit when the generation has not moved since the previous read.
+    fn count_read(&self) {
         let generation = self.shared.generation();
-        if self.cached_generation.get() == generation {
-            self.hits.set(self.hits.get() + 1);
+        let counter = if self.last_read.replace(generation) == generation {
+            &self.hits
         } else {
-            *self.cached.borrow_mut() = self.shared.snapshot();
-            self.cached_generation.set(generation);
-            self.misses.set(self.misses.get() + 1);
-        }
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
     }
 
-    /// The current registry contents, served from the cache when the shared generation has
-    /// not moved since the last read.
+    /// The current registry contents.
     pub fn snapshot(&self) -> AccuracyRegistry {
-        self.refresh();
-        self.cached.borrow().clone()
+        self.count_read();
+        self.shared.snapshot()
     }
 
-    /// A single worker's accuracy, read through the cache.
+    /// A single worker's current shared estimate, if any.
     pub fn accuracy_of(&self, worker: WorkerId) -> Option<f64> {
-        self.refresh();
-        self.cached.borrow().get(worker).map(|e| e.accuracy)
+        self.count_read();
+        self.shared.accuracy_of(worker)
     }
 
-    /// Number of reads served from the cached snapshot.
+    /// Number of reads with no write since the previous read.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Number of reads that had to rebuild the snapshot from the shared registry.
+    /// Number of reads with a write since the previous read (including the first read).
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
 
-    /// Fraction of reads served from the cache (0 when nothing was read yet).
+    /// Fraction of reads that were hits (0 when nothing was read yet).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits.get() + self.misses.get();
         if total == 0 {
@@ -495,6 +386,25 @@ mod tests {
     }
 
     #[test]
+    fn re_setting_an_injected_estimate_to_its_value_is_a_no_op() {
+        // A registry-sourced job re-absorbs its whole oracle at every batch's first
+        // ingest: the repeat must count no change and leave the generation alone.
+        let shared = SharedAccuracyRegistry::new();
+        let mut oracle = AccuracyRegistry::new();
+        oracle.set(WorkerId(1), 0.7, 0);
+        oracle.set(WorkerId(2), 0.9, 0);
+        assert_eq!(shared.absorb(&oracle), 2);
+        let before = shared.generation();
+        assert_eq!(shared.absorb(&oracle), 0);
+        shared.record(WorkerId(1), 0.7, 0);
+        assert_eq!(shared.generation(), before, "no-op re-set must not bump");
+        // A different injected value still replaces the old one.
+        shared.record(WorkerId(1), 0.6, 0);
+        assert_eq!(shared.accuracy_of(WorkerId(1)), Some(0.6));
+        assert_eq!(shared.generation(), before + 1);
+    }
+
+    #[test]
     fn absorbing_nothing_is_free() {
         let shared = SharedAccuracyRegistry::new();
         let before = shared.generation();
@@ -529,7 +439,7 @@ mod tests {
 
     #[test]
     fn degenerate_accuracies_are_normalized_before_pooling() {
-        // Regression: the striped rewrite briefly pooled the *raw* incoming accuracy and
+        // Regression: a lock-striped version briefly pooled the *raw* incoming accuracy and
         // clamped only the result, so record(w, 1.5, …) credited >100% accuracy into the
         // weighted mean and record(w, NaN, …) wiped the worker's whole history to 0.5.
         // Parity with the old set()-then-merge path: normalize first, pool second.
@@ -550,7 +460,7 @@ mod tests {
 
     #[test]
     fn seeded_default_accuracy_survives_striping() {
-        // Regression: the striped rewrite initially copied only the seed's *entries*, so
+        // Regression: a lock-striped version initially copied only the seed's *entries*, so
         // a registry seeded with a default accuracy lost it — snapshots stopped answering
         // for unseen workers and the empty-registry mean flipped to None. The default
         // must round-trip like the pre-striping full clone did.
@@ -568,15 +478,16 @@ mod tests {
 
     #[test]
     fn entries_spread_across_stripes_and_reads_see_all_of_them() {
+        // Two rounds over the 16 buckets an earlier, lock-striped registry kept: every
+        // entry recorded is seen by every read.
         let shared = SharedAccuracyRegistry::new();
-        // Two full rounds over the stripe space: every stripe holds exactly two workers.
-        for id in 0..(2 * STRIPES as u64) {
+        for id in 0..32 {
             shared.record(WorkerId(id), 0.6, 3);
         }
-        assert_eq!(shared.len(), 2 * STRIPES);
+        assert_eq!(shared.len(), 32);
         let snap = shared.snapshot();
-        assert_eq!(snap.len(), 2 * STRIPES);
-        for id in 0..(2 * STRIPES as u64) {
+        assert_eq!(snap.len(), 32);
+        for id in 0..32 {
             assert_eq!(shared.accuracy_of(WorkerId(id)), Some(0.6));
         }
         assert!((shared.mean_accuracy().unwrap() - 0.6).abs() < 1e-12);
@@ -624,7 +535,7 @@ mod tests {
     #[test]
     fn contended_workers_pool_every_sample_exactly_once() {
         // Threads hammering the SAME workers: per-worker merges are atomic under the
-        // stripe lock, so no sample is lost or double-counted, and the pooled mean lands
+        // registry lock, so no sample is lost or double-counted, and the pooled mean lands
         // within float-reassociation distance of the sequential order (the weighted-mean
         // merge is order-independent up to rounding).
         const THREADS: usize = 8;

@@ -22,8 +22,8 @@
 //!   arrival look-ahead it is also the engine's end-of-time collection,
 //! * the [`scheduler`] module multiplexes **many concurrent jobs** over one shared worker
 //!   pool: disjoint worker leases per in-flight HIT (RAII guards that release on drop, so
-//!   no error or panic strands workers), a fleet-wide lock-striped shared accuracy
-//!   registry, and round-robin/priority dispatch (the §2.1 job manager at scale) —
+//!   no error or panic strands workers), a fleet-wide shared accuracy registry, and
+//!   round-robin/priority dispatch (the §2.1 job manager at scale) —
 //!   time-aware via [`scheduler::JobScheduler::run_clocked`], where cancelled HITs hand
 //!   their leases to waiting jobs mid-run, the same loop polling at the end of time via
 //!   [`scheduler::JobScheduler::run`], or **parallel across OS threads** via

@@ -168,9 +168,11 @@ pub struct FleetReport {
     pub dispatches: Vec<DispatchRecord>,
     /// Workers with an estimate in the shared registry after the run.
     pub registry_size: usize,
-    /// Shared-registry cache reads served from the cached snapshot.
+    /// Shared-registry reads with no write since the previous read of the same
+    /// scheduler (see [`cdas_core::sharing::AccuracyCache`]).
     pub cache_hits: u64,
-    /// Shared-registry cache reads that had to rebuild the snapshot.
+    /// Shared-registry reads with a write since the previous read of the same scheduler
+    /// (each scheduler's first read included).
     pub cache_misses: u64,
 }
 
@@ -207,7 +209,8 @@ impl FleetReport {
         }
     }
 
-    /// Fraction of shared-registry reads served from the cache.
+    /// Fraction of shared-registry reads that were hits (no write since the previous
+    /// read).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -240,13 +243,10 @@ impl FleetReport {
         }
     }
 
-    /// A copy with every host-scheduling-dependent field normalized away.
+    /// A copy with each shard's host `wall_seconds` zeroed and the cache hit/miss split
+    /// folded into `cache_hits`, which keeps the total read count: the split records how
+    /// registry writes fell between reads, not what the run computed.
     ///
-    /// Two report fields depend on the host, not the simulation: each shard's
-    /// `wall_seconds`, and the cache hit/**miss split** — under a parallel run, whether a
-    /// shared-registry read lands before or after a concurrent write (which invalidates
-    /// the cached snapshot) is decided by thread interleaving. The *total* read count is
-    /// deterministic, so the split is folded into `cache_hits` rather than dropped.
     /// Equivalence assertions (e.g. "a 1-shard parallel run is byte-identical to
     /// `run_clocked`") compare through this.
     pub fn ignoring_wall_clock(&self) -> FleetReport {
@@ -426,8 +426,7 @@ mod tests {
 
     #[test]
     fn ignoring_wall_clock_folds_the_racy_cache_split_into_the_total() {
-        // The hit/miss split depends on thread interleaving in a parallel run; only
-        // hits + misses is simulation-determined. Same total, different split → equal.
+        // The fold keeps only hits + misses. Same total, different split → equal.
         let mut a = fleet_with_shards(vec![shard(0, 1.0)]);
         a.cache_hits = 19;
         a.cache_misses = 7;

@@ -12,10 +12,10 @@
 //!    no worker is ever assigned twice to one question. A job that cannot get a lease
 //!    waits for the next tick (recorded as contention in its [`crate::metrics::JobReport`]).
 //! 2. **Ingest (phase 2)** — in-flight batches ingest the answers that have arrived:
-//!    gold estimates absorbed into one fleet-wide [`SharedAccuracyRegistry`] behind an
-//!    [`AccuracyCache`], questions verified with the *shared* estimates (a worker's
-//!    accuracy learned in job A immediately reweights their votes in job B), and a
-//!    completed batch's lease released.
+//!    gold estimates absorbed into one fleet-wide [`SharedAccuracyRegistry`] and read
+//!    through the scheduler's [`AccuracyCache`], questions verified with the *shared*
+//!    estimates (a worker's accuracy learned in job A immediately reweights their votes
+//!    in job B), and a completed batch's lease released.
 //!
 //! The run ends when every job has ingested its last batch, returning a
 //! [`crate::metrics::FleetReport`] with per-job and fleet-wide accuracy/cost/throughput.
@@ -30,9 +30,9 @@
 //! polled once, at the end of time, in the tick that dispatched it, and the clock never
 //! moves. [`JobScheduler::run_parallel`] is the scale-out variant: it stripes the jobs across
 //! the shards of a [`ShardedPlatform`] and runs one clocked event loop **per OS thread**,
-//! sharing only the lock-striped [`SharedAccuracyRegistry`] — `run_clocked` is the
-//! one-shard special case of the same code path, and the report gains per-shard rollups
-//! ([`crate::metrics::ShardReport`]) and a
+//! each over its own copy of the fleet's [`SharedAccuracyRegistry`], merged back after the
+//! threads join — `run_clocked` is the one-shard special case of the same code path, and
+//! the report gains per-shard rollups ([`crate::metrics::ShardReport`]) and a
 //! [`parallel-speedup stat`](crate::metrics::FleetReport::parallel_speedup).
 //!
 //! Worker leases are RAII guards ([`cdas_crowd::lease::WorkerLease`]): every exit from
@@ -611,14 +611,20 @@ impl JobScheduler {
     ///
     /// What is shared and what is not:
     ///
-    /// * **shared** — the [`SharedAccuracyRegistry`]: its lock-striped buckets let every
-    ///   shard absorb gold estimates and read fleet-wide accuracies concurrently, so a
-    ///   worker's accuracy learned on shard A still reweights nothing on shard B *for
-    ///   that worker* (workers are partitioned), but population means and carried-over
-    ///   registries are fleet-wide, exactly as in a sequential run;
     /// * **per shard** — the platform, the worker partition, the lease table, the
     ///   [`SimClock`] (shards are independent simulated timelines; the fleet `makespan`
-    ///   is their maximum), and the dispatch RNG (seeded `config.seed + shard`).
+    ///   is their maximum), the dispatch RNG (seeded `config.seed + shard`), and the
+    ///   accuracy registry: each shard runs over its own [`SharedAccuracyRegistry`],
+    ///   seeded from a snapshot of this scheduler's registry when the call starts. A
+    ///   shard sees the carried-over estimates and what it learns itself, never what
+    ///   other shards learn during the run, so its population means (the prior for
+    ///   workers it has not scored yet) can differ from a sequential run's. Workers
+    ///   are partitioned, so no shard weights the votes of another shard's workers;
+    /// * **merged after the join** — every registry entry a shard changed is adopted
+    ///   into this scheduler's registry, in shard order, except that an injected
+    ///   estimate never replaces a gold-sampled one (the rule of
+    ///   [`SharedAccuracyRegistry::absorb`]). No two threads ever write one registry,
+    ///   so the run is a pure function of its inputs.
     ///
     /// The shard lease tables are derived from this scheduler's ledger **when the call
     /// starts**: workers already checked out through another handle of that ledger are
@@ -802,28 +808,29 @@ impl JobScheduler {
         let mut ticks = 0usize;
         let mut makespan = 0.0f64;
         let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
+        // The shards' learnings, collected in shard order and adopted into the fleet
+        // registry after the loop: every entry that differs from the pre-spawn snapshot,
+        // taken whole (adopted, not pooled — the shard's entry already contains the
+        // seed's history). Shard rosters are disjoint, so no two shards sample one
+        // worker, but every shard of a registry-sourced fleet absorbs the whole injected
+        // oracle, other shards' workers included. As in `absorb`, an injected entry
+        // (`samples == 0`) therefore never replaces a sampled one; among injected
+        // entries the last shard's wins. A panicked shard's learnings are kept too.
+        let mut delta = AccuracyRegistry::new();
         for (s, (result, sub)) in outcomes.into_iter().enumerate() {
             cache_hits += sub.cache.hits();
             cache_misses += sub.cache.misses();
-            // Merge the shard's learnings back into the fleet registry, in shard order:
-            // adopt (overwrite, not pool — the shard's entry already contains the seed's
-            // history) every entry that differs from the pre-spawn snapshot. Shard
-            // rosters are disjoint, so no two shards contend for a sampled entry; the
-            // only possible overlap is identical injected oracle estimates, where
-            // adopting in shard order is deterministic. This also covers a panicked
-            // shard — whatever it learned before unwinding is preserved, like the live
-            // registry used to.
-            let mut delta = AccuracyRegistry::new();
             for (&worker, entry) in sub.cache.shared().snapshot().iter() {
                 let unchanged = seed_registry.get(worker).is_some_and(|seed| {
                     seed.accuracy.to_bits() == entry.accuracy.to_bits()
                         && seed.samples == entry.samples
                 });
-                if !unchanged {
+                let outranked =
+                    entry.samples == 0 && delta.get(worker).is_some_and(|d| d.samples > 0);
+                if !unchanged && !outranked {
                     delta.set(worker, entry.accuracy, entry.samples);
                 }
             }
-            shared.adopt(&delta);
             for (local, state) in sub.jobs.into_iter().enumerate() {
                 // A failed lookup leaves the slot empty; the hole check below turns
                 // that into `SchedulerStalled` instead of a panic mid-merge.
@@ -875,6 +882,7 @@ impl JobScheduler {
                 Err(e) => first_error = first_error.or(Some(e)),
             }
         }
+        shared.adopt(&delta);
         // Reassemble job states in submission order. Every slot is filled even
         // when a shard panicked (the sub-scheduler survives the unwind and
         // hands its jobs back above); a hole would mean the striping logic

@@ -4,11 +4,12 @@
 //! `Parallel { shards: 4 }` — over bit-identical crowds derived from its `CrowdSpec`.
 //! Under the hood a `ShardedPlatform` splits the simulated crowd into disjoint shards
 //! (each owning a slice of the worker pool and of the HIT-id space) and the scheduler
-//! pins one shard, and the jobs striped onto it, to one thread. The threads share exactly
-//! one thing: the lock-striped `SharedAccuracyRegistry`, so accuracy learned anywhere in
-//! the fleet weights votes everywhere, just as in a sequential run. The sequential
-//! clocked loop is literally the one-shard special case of the parallel code path, which
-//! the 1-shard run demonstrates by reproducing the `Clocked` report byte for byte.
+//! pins one shard, and the jobs striped onto it, to one thread. Each thread runs over its
+//! own copy of the fleet's `SharedAccuracyRegistry`, seeded when the run starts, so no two
+//! threads write one registry; after they join, the fleet registry adopts every estimate
+//! any shard learned, ready for the next run. The sequential clocked loop is literally
+//! the one-shard special case of the parallel code path, which the 1-shard run
+//! demonstrates by reproducing the `Clocked` report byte for byte.
 //!
 //! Run with: `cargo run --release -p cdas --example parallel_fleet`
 

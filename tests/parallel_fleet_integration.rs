@@ -5,12 +5,14 @@
 //!    `run_clocked` (the acceptance regression of the parallel refactor), and
 //! 2. **interleaving independence**: an N-shard parallel run must produce the same
 //!    accuracy estimates and per-job metrics as running the same N shard schedules one
-//!    after another on a single thread — the lock-striped registry makes cross-thread
-//!    sharing commutative, so thread timing cannot change what the fleet learned.
+//!    after another on a single thread over one registry — each shard thread runs over
+//!    its own registry copy and the copies merge back after the join, so thread timing
+//!    cannot change what the fleet learned.
 
 use cdas::core::economics::CostModel;
 use cdas::core::online::TerminationStrategy;
 
+use cdas::engine::engine::AccuracySource;
 use cdas::engine::job_manager::JobKind;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
@@ -116,18 +118,37 @@ fn one_shard_parallel_run_equals_run_clocked_with_termination() {
     );
 }
 
-/// Run the same sharded fleet either in parallel (`run_parallel`) or as the equivalent
-/// sequence of per-shard clocked runs on one thread, returning the job accuracy reports
-/// and the final shared-registry estimates.
-fn run_fleet(shards: usize, parallel: bool) -> (Vec<JobReport>, Vec<(u64, f64, usize)>) {
+/// Run the same sharded fleet, its jobs weighting votes with `source`, either in
+/// parallel (`run_parallel`) or as the equivalent sequence of per-shard clocked runs on
+/// one thread, returning the job accuracy reports and the final shared-registry
+/// estimates.
+fn run_fleet(
+    shards: usize,
+    parallel: bool,
+    source: &AccuracySource,
+) -> (Vec<JobReport>, Vec<(u64, f64, usize)>) {
     const JOBS: usize = 8;
     let whole = pool(8 * shards);
+    let job = |j: usize| {
+        ScheduledJob::named(
+            JobKind::SentimentAnalytics,
+            format!("job-{j}"),
+            demo_questions(10, 3),
+        )
+        .with_engine(EngineConfig {
+            accuracy_source: source.clone(),
+            ..engine(None)
+        })
+        .with_batch_size(5)
+    };
 
     if parallel {
         let mut platform = ShardedPlatform::split(&whole, CostModel::default(), SEED, shards);
         let mut scheduler =
             JobScheduler::new(SchedulerConfig::default(), PoolLedger::from_pool(&whole));
-        submit_fleet(&mut scheduler, JOBS, None);
+        for j in 0..JOBS {
+            scheduler.submit(job(j));
+        }
         let report = scheduler.run_parallel(&mut platform).unwrap();
         let registry = scheduler
             .shared_registry()
@@ -156,15 +177,7 @@ fn run_fleet(shards: usize, parallel: bool) -> (Vec<JobReport>, Vec<(u64, f64, u
             );
             let globals: Vec<usize> = (0..JOBS).filter(|j| j % shards == s).collect();
             for &j in &globals {
-                scheduler.submit(
-                    ScheduledJob::named(
-                        JobKind::SentimentAnalytics,
-                        format!("job-{j}"),
-                        demo_questions(10, 3),
-                    )
-                    .with_engine(engine(None))
-                    .with_batch_size(5),
-                );
+                scheduler.submit(job(j));
             }
             let report = scheduler.run_clocked(shard.platform_mut()).unwrap();
             for (local, job) in report.jobs.into_iter().enumerate() {
@@ -188,14 +201,15 @@ fn run_fleet(shards: usize, parallel: bool) -> (Vec<JobReport>, Vec<(u64, f64, u
 
 #[test]
 fn parallel_threads_learn_exactly_what_a_sequential_pass_learns() {
-    // The seeded-interleaving stress of the striped registry at fleet scale: 8 jobs over
-    // 4 shards, run as 4 OS threads vs. run as 4 consecutive single-thread passes. Worker
-    // partitions are disjoint, so every estimate is written by exactly one thread in a
-    // deterministic order — the striped registry must make the parallel outcome
+    // The registry merge at fleet scale: 8 jobs over 4 shards, run as 4 OS threads vs.
+    // run as 4 consecutive single-thread passes over one registry. Worker partitions are
+    // disjoint, so every estimate is learned by exactly one shard in a deterministic
+    // order — merging the shard registries back must make the parallel outcome
     // indistinguishable from the sequential one: same estimates (bit-for-bit), same
     // sample counts, same per-job accuracy/cost metrics.
-    let (parallel_jobs, parallel_registry) = run_fleet(4, true);
-    let (sequential_jobs, sequential_registry) = run_fleet(4, false);
+    let gold = AccuracySource::GoldSampling;
+    let (parallel_jobs, parallel_registry) = run_fleet(4, true, &gold);
+    let (sequential_jobs, sequential_registry) = run_fleet(4, false, &gold);
 
     assert_eq!(parallel_registry.len(), sequential_registry.len());
     assert!(!parallel_registry.is_empty(), "gold estimates were shared");
@@ -213,6 +227,34 @@ fn parallel_threads_learn_exactly_what_a_sequential_pass_learns() {
         assert_eq!(p.hits, s.hits);
         assert_eq!(p.distinct_workers, s.distinct_workers);
     }
+}
+
+#[test]
+fn parallel_threads_keep_gold_estimates_over_an_injected_oracle() {
+    // Every shard of a registry-sourced fleet absorbs the whole oracle as injected
+    // estimates (`samples == 0`), other shards' workers included, and gold-samples only
+    // its own workers. Merging the shards back must keep every gold-sampled estimate, as
+    // the sequential pass over one registry does: an injected entry never replaces a
+    // sampled one.
+    let oracle = AccuracySource::Registry(pool(32).oracle_registry(&demo_questions(1, 0)[0]));
+    let (parallel_jobs, parallel_registry) = run_fleet(4, true, &oracle);
+    let (sequential_jobs, sequential_registry) = run_fleet(4, false, &oracle);
+
+    assert_eq!(sequential_registry.len(), 32);
+    assert!(
+        sequential_registry
+            .iter()
+            .all(|&(_, _, samples)| samples > 0),
+        "every worker was gold-sampled"
+    );
+    let bits = |registry: &[(u64, f64, usize)]| {
+        registry
+            .iter()
+            .map(|&(worker, accuracy, samples)| (worker, accuracy.to_bits(), samples))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&parallel_registry), bits(&sequential_registry));
+    assert_eq!(parallel_jobs, sequential_jobs);
 }
 
 #[test]
