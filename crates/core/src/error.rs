@@ -77,6 +77,15 @@ pub enum CdasError {
     },
     /// A fleet was built over a crowd with no workers: nothing could ever be dispatched.
     EmptyFleet,
+    /// A configuration value no run can use: a non-finite number, a reversed range, or
+    /// a non-positive distribution shape. It is caught before anything is built or
+    /// journaled, instead of panicking inside a sampler mid-run or skewing a report.
+    InvalidConfig {
+        /// The offending field, e.g. `crowd.latency` or `service.budget`.
+        field: &'static str,
+        /// What is wrong with its value.
+        detail: String,
+    },
     /// A job was submitted with no questions: there is no human part to crowdsource.
     EmptyJob {
         /// The offending job's name.
@@ -163,6 +172,7 @@ impl fmt::Display for CdasError {
             CdasError::EmptyFleet => {
                 write!(f, "fleet crowd has no workers; nothing can be dispatched")
             }
+            CdasError::InvalidConfig { field, detail } => write!(f, "invalid {field}: {detail}"),
             CdasError::EmptyJob { name } => {
                 write!(f, "job {name:?} has no questions to crowdsource")
             }
@@ -220,6 +230,11 @@ mod tests {
         assert!(e.to_string().contains("17"));
         let e = CdasError::EmptyFleet;
         assert!(e.to_string().contains("no workers"));
+        let e = CdasError::InvalidConfig {
+            field: "crowd.latency",
+            detail: "the range 10..1 is reversed".to_string(),
+        };
+        assert!(e.to_string().contains("crowd.latency") && e.to_string().contains("10..1"));
         let e = CdasError::EmptyJob {
             name: "thor".to_string(),
         };

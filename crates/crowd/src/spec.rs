@@ -27,6 +27,7 @@
 //! ```
 
 use cdas_core::economics::CostModel;
+use cdas_core::{CdasError, Result};
 
 use crate::arrival::LatencyModel;
 use crate::distribution::AccuracyDistribution;
@@ -168,6 +169,86 @@ impl CrowdSpec {
     pub fn build_ledger(&self) -> PoolLedger {
         PoolLedger::from_pool(&self.build_pool())
     }
+
+    /// Check that the simulator can sample this crowd: every number in it is finite,
+    /// each `Uniform` range and `Empirical` bin runs from low to high, and `Beta` shapes
+    /// are positive. The samplers assume all three: a reversed range or a zero shape
+    /// panics mid-run, and a NaN accuracy quietly yields a crowd that is never right.
+    /// The fleet facade and the service call this before they build or journal
+    /// anything, so a bad spec comes back as [`CdasError::InvalidConfig`].
+    pub fn validate(&self) -> Result<()> {
+        let config = &self.config;
+        finite("crowd.spammer_fraction", config.spammer_fraction)?;
+        finite("crowd.colluder_fraction", config.colluder_fraction)?;
+        finite("crowd.expert_fraction", config.expert_fraction)?;
+        let approval = &config.approval;
+        finite("crowd.approval", approval.auto_approval_fraction)?;
+        finite("crowd.approval", approval.accuracy_weight)?;
+        finite("crowd.approval", approval.noise)?;
+        finite("crowd.cost_model", self.cost_model.worker_fee)?;
+        finite("crowd.cost_model", self.cost_model.platform_fee)?;
+        match config.latency {
+            LatencyModel::Constant(v) | LatencyModel::Exponential { mean: v } => {
+                finite("crowd.latency", v)
+            }
+            LatencyModel::Uniform { lo, hi } => ordered("crowd.latency", lo, hi),
+            LatencyModel::LogNormal { mu, sigma } => {
+                finite("crowd.latency", mu)?;
+                finite("crowd.latency", sigma)
+            }
+        }?;
+        match &config.accuracy {
+            AccuracyDistribution::Constant(v) => finite("crowd.accuracy", *v),
+            AccuracyDistribution::Uniform { lo, hi } => ordered("crowd.accuracy", *lo, *hi),
+            AccuracyDistribution::Beta { alpha, beta } => {
+                positive("crowd.accuracy", *alpha)?;
+                positive("crowd.accuracy", *beta)
+            }
+            AccuracyDistribution::TruncatedNormal { mean, std } => {
+                finite("crowd.accuracy", *mean)?;
+                finite("crowd.accuracy", *std)
+            }
+            AccuracyDistribution::Empirical { bins } => {
+                bins.iter().try_for_each(|&(lo, hi, weight)| {
+                    ordered("crowd.accuracy", lo, hi)?;
+                    finite("crowd.accuracy", weight)
+                })
+            }
+        }
+    }
+}
+
+fn finite(field: &'static str, value: f64) -> Result<()> {
+    if value.is_finite() {
+        return Ok(());
+    }
+    Err(CdasError::InvalidConfig {
+        field,
+        detail: format!("{value} is not a finite number"),
+    })
+}
+
+fn ordered(field: &'static str, lo: f64, hi: f64) -> Result<()> {
+    finite(field, lo)?;
+    finite(field, hi)?;
+    if lo <= hi {
+        return Ok(());
+    }
+    Err(CdasError::InvalidConfig {
+        field,
+        detail: format!("the range {lo}..{hi} is reversed"),
+    })
+}
+
+fn positive(field: &'static str, value: f64) -> Result<()> {
+    finite(field, value)?;
+    if value > 0.0 {
+        return Ok(());
+    }
+    Err(CdasError::InvalidConfig {
+        field,
+        detail: format!("the shape {value} is not positive"),
+    })
 }
 
 #[cfg(test)]

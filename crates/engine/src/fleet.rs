@@ -414,8 +414,8 @@ impl<Crowd> FleetBuilder<Crowd> {
 
     /// Set how the clocked loops discover the next arrival event (default
     /// [`ArrivalDiscovery::Heap`]). [`ArrivalDiscovery::Scan`] is the pre-heap
-    /// per-tick scan, retained as the differential-testing oracle and the benchmark
-    /// baseline; both produce bit-identical reports.
+    /// per-tick scan, retained only as the differential-testing oracle; both produce
+    /// bit-identical reports.
     pub fn arrival_discovery(mut self, discovery: ArrivalDiscovery) -> Self {
         self.scheduler.discovery = discovery;
         self
@@ -480,16 +480,15 @@ impl FleetBuilder<CrowdSpec> {
     /// Validate the configuration and assemble the [`Fleet`].
     ///
     /// Misconfigurations come back as typed errors instead of panics or silent
-    /// misbehaviour later: a crowd with no workers is [`CdasError::EmptyFleet`], an
-    /// unservable shard count is [`CdasError::InvalidShardCount`], a job without
-    /// questions is [`CdasError::EmptyJob`], a zero batch size or zero worker count is
+    /// misbehaviour later: a crowd with no workers is [`CdasError::EmptyFleet`], a
+    /// crowd the simulator cannot sample ([`CrowdSpec::validate`]) is
+    /// [`CdasError::InvalidConfig`], an unservable shard count is
+    /// [`CdasError::InvalidShardCount`], a job without questions is
+    /// [`CdasError::EmptyJob`], a zero batch size or zero worker count is
     /// [`CdasError::NonPositive`], and a job demanding more workers than the crowd holds
     /// is [`CdasError::PoolExhausted`].
     pub fn build(self) -> Result<Fleet> {
-        let workers = self.crowd.worker_count();
-        if workers == 0 {
-            return Err(CdasError::EmptyFleet);
-        }
+        let workers = validate_crowd(&self.crowd)?;
         validate_shards(self.shards, workers)?;
         let fleet = Fleet {
             crowd: self.crowd,
@@ -506,6 +505,17 @@ impl FleetBuilder<CrowdSpec> {
         }
         Ok(fleet)
     }
+}
+
+/// The crowd check every entry point runs before it builds or journals anything: the
+/// crowd has workers and the simulator can sample it. Returns the worker count.
+pub(crate) fn validate_crowd(crowd: &CrowdSpec) -> Result<usize> {
+    let workers = crowd.worker_count();
+    if workers == 0 {
+        return Err(CdasError::EmptyFleet);
+    }
+    crowd.validate()?;
+    Ok(workers)
 }
 
 fn validate_shards(shards: usize, workers: usize) -> Result<()> {
@@ -700,12 +710,11 @@ impl Fleet {
     /// Rebuild a fleet from a journaled [`RunConfig`] (the inverse of
     /// [`run_config`](Self::run_config)): resolved jobs lift back into the facade via
     /// [`JobSpec::from`], so re-resolving them reproduces the original run's jobs
-    /// exactly.
+    /// exactly. The crowd and shard count are checked as [`FleetBuilder::build`]
+    /// checks them, so recovering a journal whose crowd cannot be sampled fails with a
+    /// typed error instead of panicking mid-replay.
     pub fn from_run_config(config: RunConfig) -> Result<Fleet> {
-        let workers = config.crowd.worker_count();
-        if workers == 0 {
-            return Err(CdasError::EmptyFleet);
-        }
+        let workers = validate_crowd(&config.crowd)?;
         let shards = match config.mode {
             ExecutionMode::Parallel { shards } => shards,
             _ => 1,

@@ -226,9 +226,8 @@ impl FleetReport {
     /// the work was partitioned (`1.0` for one shard, approaching the shard count under
     /// perfect balance), **not** the achieved end-to-end ratio: each shard times only its
     /// own loop, so an oversubscribed or single-core host that serializes the threads
-    /// still reports the partition-balance number. For measured wall-clock against one
-    /// shard, see the `heap-*shard` rows of the `perf_snapshot` recorder, which time
-    /// whole runs.
+    /// still reports the partition-balance number. An end-to-end ratio needs whole runs
+    /// timed at each shard count on one host.
     pub fn parallel_speedup(&self) -> f64 {
         let total: f64 = self.shards.iter().map(|s| s.wall_seconds).sum();
         let slowest = self

@@ -103,8 +103,8 @@ pub enum DispatchPolicy {
 ///
 /// Both modes produce **bit-identical** reports (pinned by the differential suite in
 /// `tests/event_heap_equivalence.rs`); they differ only in how much work each tick
-/// costs. `Scan` is kept as the differential-testing oracle and the benchmark baseline
-/// that `cdas-bench`'s `perf_snapshot` binary records `Heap` against.
+/// costs. `Heap` is the production path; `Scan` is kept only as that suite's
+/// differential-testing oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ArrivalDiscovery {
     /// A global arrival priority queue ([`cdas_crowd::ArrivalQueue`]): a binary

@@ -56,7 +56,7 @@ use std::path::PathBuf;
 
 use cdas_core::{CdasError, Result};
 
-use crate::fleet::{ExecutionMode, Fleet, FleetEvent, FleetFailpoints, JobSpec};
+use crate::fleet::{validate_crowd, ExecutionMode, Fleet, FleetEvent, FleetFailpoints, JobSpec};
 use crate::journal::{Journal, JournalConfig, JournalRecord, RecoveryReport};
 use crate::metrics::FleetReport;
 
@@ -93,7 +93,8 @@ pub enum Rejected {
         forecast: AdmissionForecast,
     },
     /// The job never reached the policy: it is malformed (empty question list,
-    /// zero batch size, unservable worker policy) or the manifest append failed.
+    /// zero batch size, unservable worker policy, NaN deadline) or the manifest
+    /// append failed.
     Invalid(CdasError),
 }
 
@@ -279,10 +280,18 @@ impl FleetService {
     /// previous service's manifest segments — one directory holds one service
     /// lifetime) and journals the configuration as the head record. To resume an
     /// existing service directory after a crash, use [`recover`](Self::recover).
+    ///
+    /// The configuration is checked before the directory is touched: a crowd with no
+    /// workers is [`CdasError::EmptyFleet`], and a crowd the simulator cannot sample
+    /// or a NaN budget is [`CdasError::InvalidConfig`].
     pub fn open(dir: impl Into<PathBuf>, config: ServiceConfig) -> Result<Self> {
         let dir = dir.into();
-        if config.crowd.worker_count() == 0 {
-            return Err(CdasError::EmptyFleet);
+        validate_crowd(&config.crowd)?;
+        if config.budget.is_some_and(f64::is_nan) {
+            return Err(CdasError::InvalidConfig {
+                field: "service.budget",
+                detail: "NaN would turn the budget check off".to_string(),
+            });
         }
         let mut manifest = Journal::create(manifest_dir(&dir), JournalConfig::default())?;
         manifest.append(&JournalRecord::ServiceOpened(config.clone()))?;
@@ -369,6 +378,12 @@ impl FleetService {
     pub fn submit(&mut self, spec: JobSpec) -> std::result::Result<JobTicket, Rejected> {
         let scheduled = spec.resolve_default().map_err(Rejected::Invalid)?;
         let deadline = spec.deadline();
+        if deadline.is_some_and(f64::is_nan) {
+            return Err(Rejected::Invalid(CdasError::InvalidConfig {
+                field: "job.deadline_minutes",
+                detail: "NaN would pass every deadline check".to_string(),
+            }));
+        }
         let idle = self
             .model
             .forecast(&scheduled, 0)
@@ -942,6 +957,31 @@ mod tests {
             }
             other => panic!("expected a budget rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_deadlines_are_invalid_and_never_journaled() {
+        let dir = temp_dir("nan-deadline");
+        let mut service = FleetService::open(&dir, config()).unwrap();
+        match service.submit(job("a", 5).deadline_minutes(f64::NAN)) {
+            Err(Rejected::Invalid(CdasError::InvalidConfig { field, .. })) => {
+                assert_eq!(field, "job.deadline_minutes");
+            }
+            other => panic!("expected an invalid deadline, got {other:?}"),
+        }
+        // No ticket was minted or journaled: the next submission is ticket 0.
+        assert!(service.events().is_empty());
+        assert_eq!(service.submit(job("b", 5)), Ok(JobTicket(0)));
+    }
+
+    #[test]
+    fn nan_budgets_are_refused_before_the_directory_is_touched() {
+        let dir = temp_dir("nan-budget");
+        match FleetService::open(&dir, config().budget(f64::NAN)).err() {
+            Some(CdasError::InvalidConfig { field, .. }) => assert_eq!(field, "service.budget"),
+            other => panic!("expected an invalid budget, got {other:?}"),
+        }
+        assert!(!dir.exists(), "open touched the directory");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! through both paths.
 
 use cdas::core::CdasError;
+use cdas::crowd::distribution::AccuracyDistribution;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
 use proptest::prelude::*;
@@ -172,6 +173,98 @@ fn builder_misuse_returns_typed_errors_not_panics() {
         Err(CdasError::EmptyJob { .. }) => {}
         other => panic!("expected EmptyJob from build(), got {other:?}"),
     }
+    // Crowds the simulator cannot sample fail at build(), not inside a sampler mid-run
+    // (and a NaN accuracy does not quietly report 0.000).
+    let clean = || CrowdSpec::clean(16, 0.8);
+    let unsamplable = [
+        (
+            "crowd.latency",
+            clean().latency(LatencyModel::Uniform { lo: 10.0, hi: 1.0 }),
+        ),
+        (
+            "crowd.latency",
+            clean().latency(LatencyModel::Uniform {
+                lo: f64::NAN,
+                hi: 1.0,
+            }),
+        ),
+        (
+            "crowd.accuracy",
+            clean().accuracy(AccuracyDistribution::Uniform { lo: 0.9, hi: 0.6 }),
+        ),
+        (
+            "crowd.accuracy",
+            clean().accuracy(AccuracyDistribution::Beta {
+                alpha: 0.0,
+                beta: 2.0,
+            }),
+        ),
+        (
+            "crowd.accuracy",
+            clean().accuracy(AccuracyDistribution::Empirical {
+                bins: vec![(0.9, 0.6, 1.0)],
+            }),
+        ),
+        ("crowd.accuracy", CrowdSpec::clean(16, f64::NAN)),
+        (
+            "crowd.accuracy",
+            clean().accuracy(AccuracyDistribution::Empirical {
+                bins: vec![(0.5, 0.6, 1.0), (0.7, 0.8, f64::INFINITY)],
+            }),
+        ),
+        (
+            "crowd.cost_model",
+            clean().cost_model(CostModel {
+                worker_fee: f64::NAN,
+                platform_fee: 0.0,
+            }),
+        ),
+    ];
+    for (expected, spec) in unsamplable {
+        match Fleet::builder()
+            .crowd(spec.clone())
+            .job(JobSpec::sentiment("j", demo_questions(4, 1)).workers(3))
+            .build()
+        {
+            Err(CdasError::InvalidConfig { field, .. }) => assert_eq!(field, expected),
+            other => panic!("{spec:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn unsamplable_crowds_are_refused_by_the_service_and_by_recovery() {
+    let bad = CrowdSpec::clean(16, 0.8).latency(LatencyModel::Uniform { lo: 10.0, hi: 1.0 });
+    let root = std::env::temp_dir().join(format!("cdas-facade-bad-crowd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    // The service checks its crowd before it creates its directory.
+    let service_dir = root.join("service");
+    match FleetService::open(&service_dir, ServiceConfig::new(bad.clone())).err() {
+        Some(CdasError::InvalidConfig { field, .. }) => assert_eq!(field, "crowd.latency"),
+        other => panic!("expected InvalidConfig from FleetService::open, got {other:?}"),
+    }
+    assert!(!service_dir.exists(), "open touched the directory");
+
+    // A journal written by hand: a RunStarted head with the bad crowd and one job.
+    let run_dir = root.join("run");
+    let mut config = Fleet::builder()
+        .crowd(crowd(16, 0.8))
+        .job(JobSpec::sentiment("j", demo_questions(4, 1)).workers(3))
+        .build()
+        .unwrap()
+        .run_config(ExecutionMode::Clocked)
+        .unwrap();
+    config.crowd = bad;
+    let mut journal = Journal::create(&run_dir, JournalConfig::default()).unwrap();
+    journal.append(&JournalRecord::RunStarted(config)).unwrap();
+    journal.sync().unwrap();
+    drop(journal);
+    match Fleet::recover(&run_dir).err() {
+        Some(CdasError::InvalidConfig { field, .. }) => assert_eq!(field, "crowd.latency"),
+        other => panic!("expected InvalidConfig from Fleet::recover, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
