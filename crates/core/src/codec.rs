@@ -402,8 +402,8 @@ impl BinCodec for AccuracyRegistry {
     }
 }
 
-/// FNV-1a hash of a byte string; the journal uses it to fingerprint snapshotted records
-/// without keeping their full payloads around.
+/// FNV-1a hash of a byte string; the journal uses it to fingerprint each committed batch
+/// without keeping its full payload around.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -657,7 +657,8 @@ impl Fleet {
     /// [`FailpointPlatform`]s armed per [`FleetFailpoints`]. An armed failpoint
     /// **panics** mid-run — callers catch it with `std::panic::catch_unwind`, then hand
     /// the journal directory to [`Fleet::recover`], exactly as a supervisor would after
-    /// a real crash. Journal appends hit the OS unbuffered, so everything appended
+    /// a real crash. Journal appends are buffered, but the journal handle's `Drop`
+    /// hands the buffer to the OS while the panic unwinds, so everything appended
     /// before the panic survives it.
     pub fn run_with_failpoints(
         &self,

@@ -2,8 +2,8 @@
 //!
 //! The fleet's ordered event stream becomes a log-structured source of truth in the
 //! spirit of LogBase's WAL-as-data design: while a run executes, every dispatch, per-poll
-//! charge, and batch commit is appended to an on-disk journal (via the scheduler's
-//! [`crate::scheduler::RunObserver`] hook), framed as
+//! charge, and batch commit (as a [`CommitDigest`]) is appended to an on-disk journal
+//! (via the scheduler's [`crate::scheduler::RunObserver`] hook), framed as
 //!
 //! ```text
 //! segment-000000.wal             segment-000001.wal
@@ -19,8 +19,9 @@
 //! with a `u32` little-endian length, a `u32` CRC-32 (IEEE) of the payload, and the
 //! payload itself (a [`JournalRecord`] encoded with the in-tree [`BinCodec`] — the no-op
 //! serde shim plays no part in this path). Segments rotate at
-//! [`JournalConfig::max_segment_bytes`]; [`Journal::compact`] folds everything into a
-//! [`JournalRecord::Snapshot`] checkpoint and deletes the older segments.
+//! [`JournalConfig::max_segment_bytes`]. The segment header's magic carries the format
+//! version, so a journal written in an older record format is refused as corrupt
+//! instead of being misdecoded.
 //!
 //! Recovery ([`crate::fleet::Fleet::recover`]) reads the journal back, rebuilds the run
 //! configuration from the head record, and re-executes the run deterministically while
@@ -34,7 +35,7 @@
 mod record;
 pub mod recovery;
 
-pub use record::{CommitDigest, JournalRecord, JournalSnapshot, RunConfig};
+pub use record::{CommitDigest, JournalRecord, RunConfig};
 pub use recovery::RecoveryReport;
 
 use std::fs::{File, OpenOptions};
@@ -44,8 +45,9 @@ use std::path::{Path, PathBuf};
 use cdas_core::codec::BinCodec;
 use cdas_core::{CdasError, Result};
 
-/// Magic + format version prefix of every segment file.
-const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL1";
+/// Magic + format version prefix of every segment file. Version 2 journals each
+/// commit as a [`CommitDigest`]; version 1 journaled the whole outcome.
+const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL2";
 /// Segment header: magic followed by the segment's `u64` index.
 const SEGMENT_HEADER_LEN: u64 = 16;
 /// Frame header: `u32` payload length + `u32` CRC-32 of the payload.
@@ -59,8 +61,8 @@ const BUFFER_FLUSH_BYTES: usize = 64 * 1024;
 /// CRC-32 (IEEE 802.3 polynomial, reflected) lookup tables for slice-by-8, built at
 /// compile time. `CRC32_TABLES[0]` is the classic per-byte table; `CRC32_TABLES[k]` is
 /// the CRC of a byte followed by `k` zero bytes, letting [`crc32`] fold eight input
-/// bytes per step instead of one — commit records alone put megabytes through this
-/// checksum on a journaled run.
+/// bytes per step instead of one — every record passes through this checksum once when
+/// it is appended and again each time the journal is read.
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -136,9 +138,9 @@ pub enum SyncPolicy {
     /// Never fsync explicitly (fastest; a crash may lose the OS-buffered suffix, which
     /// recovery treats as a torn tail).
     Never,
-    /// Fsync after commit-class records (`RunStarted`, `Commit`, `Snapshot`,
-    /// `RunCompleted`) — the default: a committed batch is never re-paid, while the
-    /// chatty dispatch/charge records ride along with the next commit's sync.
+    /// Fsync after commit-class records (`RunStarted`, `Commit`, `RunCompleted`) — the
+    /// default: a committed batch is never re-paid, while the chatty dispatch/charge
+    /// records ride along with the next commit's sync.
     #[default]
     Commits,
     /// Fsync after every record (slowest, smallest possible torn tail).
@@ -186,7 +188,7 @@ impl Default for JournalConfig {
 /// What a full read of a journal directory yielded.
 #[derive(Debug, Clone)]
 pub struct JournalContents {
-    /// Every intact record, in append order (a `Snapshot` appears in place).
+    /// Every intact record, in append order.
     pub records: Vec<JournalRecord>,
     /// Whether a torn (incomplete or CRC-failing) frame was dropped from the end of the
     /// final segment — the signature of a crash mid-write.
@@ -215,7 +217,7 @@ pub struct Journal {
     /// rotation, [`BUFFER_FLUSH_BYTES`], and drop.
     buffer: Vec<u8>,
     /// Reusable payload-encoding buffer: appends encode into it in place of a fresh
-    /// allocation per record (commit payloads run to kilobytes).
+    /// allocation per record.
     scratch: Vec<u8>,
     /// Commit-class records appended since the last fsync (group-commit accounting).
     pending_commits: usize,
@@ -495,22 +497,6 @@ impl Journal {
         appended
     }
 
-    /// Append a batch commit without materializing a [`JournalRecord`] — byte-for-byte
-    /// the same journal as `append(&JournalRecord::Commit(commit.clone()))`, minus the
-    /// deep clone of the outcome. This is the scheduler hot path: one commit per batch,
-    /// each dragging verdicts and registry contributions.
-    pub fn append_commit(&mut self, commit: &crate::scheduler::BatchCommit) -> Result<()> {
-        if self.file.is_none() {
-            return Ok(());
-        }
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        JournalRecord::encode_commit(commit, &mut payload);
-        let appended = self.append_payload(&payload, true);
-        self.scratch = payload;
-        appended
-    }
-
     /// Frame an encoded record payload into the current segment and apply the
     /// [`SyncPolicy`]. The frame goes straight into the append buffer — no
     /// intermediate copy.
@@ -590,56 +576,6 @@ impl Journal {
     /// Whether the write-kill failpoint has fired (all further appends are dropped).
     pub fn is_dead(&self) -> bool {
         self.file.is_none()
-    }
-
-    /// Fold the journal in `dir` into a snapshot: a single fresh segment holding one
-    /// [`JournalRecord::Snapshot`] (run configuration + dispatch history + commit
-    /// digests + folded charges) followed by any completed-run trailer records, then
-    /// delete all older segments. Shrinks the journal — full commit payloads and
-    /// per-poll charges collapse into digests and one total — while preserving exactly
-    /// what recovery needs.
-    pub fn compact(dir: impl AsRef<Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        let contents = Journal::read(dir)?;
-        let replay = recovery::JournalReplay::assemble(&contents)?;
-        let snapshot = replay.to_snapshot();
-        let old_segments = list_segments(dir)?;
-        let next_index = old_segments.last().map_or(0, |(i, _)| i + 1);
-        let mut journal = Journal {
-            dir: dir.to_path_buf(),
-            config: JournalConfig {
-                // One segment regardless of size: a snapshot is atomic by design.
-                max_segment_bytes: u64::MAX,
-                sync: SyncPolicy::Never,
-                fail_writes_after: None,
-            },
-            segment_index: next_index,
-            file: None,
-            segment_bytes: 0,
-            written_total: 0,
-            buffer: Vec::new(),
-            scratch: Vec::new(),
-            pending_commits: 0,
-            pending_since: None,
-            syncs_performed: 0,
-        };
-        journal.open_segment()?;
-        journal.append(&JournalRecord::Snapshot(snapshot))?;
-        for event in &replay.events {
-            journal.append(&JournalRecord::Event(event.clone()))?;
-        }
-        if let Some((cost, questions, makespan)) = replay.completed {
-            journal.append(&JournalRecord::RunCompleted {
-                cost,
-                questions,
-                makespan,
-            })?;
-        }
-        journal.sync()?;
-        for (_, path) in old_segments {
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-        }
-        Ok(())
     }
 
     /// Test helper: chop `bytes` off the end of the final segment, simulating a tail

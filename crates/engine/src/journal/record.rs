@@ -2,13 +2,14 @@
 //! that appear inside records.
 //!
 //! A journal is a sequence of [`JournalRecord`]s. The first record of a run is always
-//! [`JournalRecord::RunStarted`] (or, after compaction, a [`JournalRecord::Snapshot`]
-//! that embeds the same configuration), which carries everything needed to re-execute
-//! the run deterministically: the crowd specification, the scheduler configuration, the
+//! [`JournalRecord::RunStarted`], which carries everything needed to re-execute the run
+//! deterministically: the crowd specification, the scheduler configuration, the
 //! resolved jobs, and the execution mode. Everything after it is the durable trace of
-//! scheduler progress — dispatches, per-poll charges, batch commits — followed, on
-//! successful completion, by the fleet's event stream and a [`JournalRecord::RunCompleted`]
-//! trailer.
+//! scheduler progress — dispatches, per-poll charges, and one [`CommitDigest`] per
+//! committed batch — followed, on successful completion, by the fleet's event stream
+//! and a [`JournalRecord::RunCompleted`] trailer. A commit is journaled as a digest, not
+//! as its outcome: recovery recomputes every outcome by re-executing the run and only
+//! needs to tell whether the recomputed commit is the one the crashed run paid for.
 
 use cdas_core::codec::{fnv1a64, BinCodec, CodecError, CodecResult};
 use cdas_core::economics::CostModel;
@@ -48,8 +49,8 @@ pub struct RunConfig {
     pub jobs: Vec<ScheduledJob>,
 }
 
-/// A compacted stand-in for a full [`BatchCommit`]: enough to prove (or refute) that a
-/// replayed commit matches the journaled one, at a fraction of the bytes.
+/// The journaled form of a [`BatchCommit`]: enough to prove (or refute) that a replayed
+/// commit matches the one the crashed run paid for, at a fraction of the bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitDigest {
     /// The committing job (global id).
@@ -58,48 +59,33 @@ pub struct CommitDigest {
     pub seq: usize,
     /// The platform HIT the batch ran as.
     pub hit: HitId,
-    /// What the batch charged.
+    /// What the batch charged the requester (the outcome's cost).
     pub charge: f64,
+    /// Simulated completion time of the batch (0.0 in end-of-time runs).
+    pub completed_at: f64,
     /// FNV-1a fingerprint of the full commit's encoding.
     pub digest: u64,
 }
 
 impl CommitDigest {
-    /// Digest a full commit (used by compaction, and by recovery to verify a replayed
-    /// commit against a digest).
+    /// Digest a full commit: the record a journaled run appends per committed batch.
     pub fn of(commit: &BatchCommit) -> Self {
         CommitDigest {
             job: commit.job,
             seq: commit.seq,
             hit: commit.hit,
-            charge: commit.charge,
+            charge: commit.outcome.cost,
+            completed_at: commit.completed_at,
             digest: fnv1a64(&commit.to_bytes()),
         }
     }
 
-    /// Whether `commit` is the commit this digest was taken of.
+    /// Whether `commit` is the commit this digest was taken of, compared bit for bit.
+    /// Every field of the commit feeds the fingerprint, so a change to any verdict,
+    /// reason, timing or registry entry is caught, but for a 2^-64 chance of collision.
     pub fn matches(&self, commit: &BatchCommit) -> bool {
-        self.job == commit.job
-            && self.seq == commit.seq
-            && self.hit == commit.hit
-            && self.digest == fnv1a64(&commit.to_bytes())
+        self.to_bytes() == CommitDigest::of(commit).to_bytes()
     }
-}
-
-/// The state a compaction folds the journal's prefix into: the run configuration, the
-/// full dispatch history, commit digests, and the charge total. Replaces every record
-/// before it; recovery treats it exactly like a `RunStarted` followed by the records it
-/// summarizes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalSnapshot {
-    /// The run configuration (as journaled by `RunStarted`).
-    pub config: RunConfig,
-    /// Every dispatch journaled before the snapshot, in journal order.
-    pub dispatches: Vec<DispatchRecord>,
-    /// Digests of every commit journaled before the snapshot.
-    pub commits: Vec<CommitDigest>,
-    /// Folded total of every per-poll charge journaled before the snapshot.
-    pub charged: f64,
 }
 
 /// One record of the write-ahead journal.
@@ -120,12 +106,10 @@ pub enum JournalRecord {
         /// Simulated time of the poll.
         at: f64,
     },
-    /// A batch outcome became part of run state.
-    Commit(BatchCommit),
+    /// A batch outcome became part of run state (journaled as its digest).
+    Commit(CommitDigest),
     /// One fleet event of a completed run's event stream.
     Event(FleetEvent),
-    /// A compaction checkpoint replacing every earlier record.
-    Snapshot(JournalSnapshot),
     /// The run finished; the journal is complete.
     RunCompleted {
         /// Total requester cost of the run.
@@ -177,7 +161,6 @@ impl JournalRecord {
             self,
             JournalRecord::RunStarted(_)
                 | JournalRecord::Commit(_)
-                | JournalRecord::Snapshot(_)
                 | JournalRecord::RunCompleted { .. }
                 | JournalRecord::ServiceOpened(_)
                 | JournalRecord::ServiceSubmitted(_)
@@ -185,15 +168,6 @@ impl JournalRecord {
                 | JournalRecord::ServiceEpochCompleted { .. }
                 | JournalRecord::ServiceClosed { .. }
         )
-    }
-
-    /// Encode the `Commit` wire form straight from a borrowed commit — byte-identical
-    /// to `JournalRecord::Commit(commit.clone()).to_bytes()`. The journal appends one
-    /// commit per batch on the scheduler's hot path, and the outcome inside (verdicts,
-    /// registry contributions) is too heavy to deep-clone just to serialize it.
-    pub fn encode_commit(commit: &BatchCommit, out: &mut Vec<u8>) {
-        out.push(4);
-        commit.encode(out);
     }
 }
 
@@ -529,7 +503,6 @@ impl BinCodec for BatchCommit {
         self.hit.encode(out);
         self.range.encode(out);
         self.outcome.encode(out);
-        self.charge.encode(out);
         self.completed_at.encode(out);
         self.first_verdict_at.encode(out);
         self.reclaimed_minutes.encode(out);
@@ -544,7 +517,6 @@ impl BinCodec for BatchCommit {
             hit: HitId::decode(input)?,
             range: std::ops::Range::<usize>::decode(input)?,
             outcome: HitOutcome::decode(input)?,
-            charge: f64::decode(input)?,
             completed_at: f64::decode(input)?,
             first_verdict_at: Option::<f64>::decode(input)?,
             reclaimed_minutes: f64::decode(input)?,
@@ -685,6 +657,7 @@ impl BinCodec for CommitDigest {
         self.seq.encode(out);
         self.hit.encode(out);
         self.charge.encode(out);
+        self.completed_at.encode(out);
         self.digest.encode(out);
     }
 
@@ -694,25 +667,8 @@ impl BinCodec for CommitDigest {
             seq: usize::decode(input)?,
             hit: HitId::decode(input)?,
             charge: f64::decode(input)?,
+            completed_at: f64::decode(input)?,
             digest: u64::decode(input)?,
-        })
-    }
-}
-
-impl BinCodec for JournalSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.dispatches.encode(out);
-        self.commits.encode(out);
-        self.charged.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        Ok(JournalSnapshot {
-            config: RunConfig::decode(input)?,
-            dispatches: Vec::decode(input)?,
-            commits: Vec::decode(input)?,
-            charged: f64::decode(input)?,
         })
     }
 }
@@ -868,16 +824,13 @@ impl BinCodec for JournalRecord {
                 amount.encode(out);
                 at.encode(out);
             }
-            JournalRecord::Commit(commit) => {
-                JournalRecord::encode_commit(commit, out);
+            JournalRecord::Commit(digest) => {
+                out.push(4);
+                digest.encode(out);
             }
             JournalRecord::Event(event) => {
                 out.push(5);
                 event.encode(out);
-            }
-            JournalRecord::Snapshot(snapshot) => {
-                out.push(6);
-                snapshot.encode(out);
             }
             JournalRecord::RunCompleted {
                 cost,
@@ -936,9 +889,8 @@ impl BinCodec for JournalRecord {
                 amount: f64::decode(input)?,
                 at: f64::decode(input)?,
             }),
-            4 => Ok(JournalRecord::Commit(BatchCommit::decode(input)?)),
+            4 => Ok(JournalRecord::Commit(CommitDigest::decode(input)?)),
             5 => Ok(JournalRecord::Event(FleetEvent::decode(input)?)),
-            6 => Ok(JournalRecord::Snapshot(JournalSnapshot::decode(input)?)),
             7 => Ok(JournalRecord::RunCompleted {
                 cost: f64::decode(input)?,
                 questions: usize::decode(input)?,
@@ -1007,7 +959,6 @@ mod tests {
                 },
                 cost: 0.055,
             },
-            charge: 0.055,
             completed_at: 12.5,
             first_verdict_at: Some(7.25),
             reclaimed_minutes: 1.5,
@@ -1075,7 +1026,7 @@ mod tests {
     #[test]
     fn commits_and_records_round_trip() {
         round_trip(demo_commit());
-        round_trip(JournalRecord::Commit(demo_commit()));
+        round_trip(JournalRecord::Commit(CommitDigest::of(&demo_commit())));
         round_trip(JournalRecord::RunStarted(demo_config()));
         round_trip(JournalRecord::Dispatch(DispatchRecord {
             tick: 2,
@@ -1101,36 +1052,80 @@ mod tests {
         });
     }
 
+    /// The digest is the only check recovery makes on a commit's content, so each
+    /// field of the commit, down to one verdict's reasons and one registry entry, must
+    /// change it.
     #[test]
-    fn encode_commit_matches_the_owned_wire_form() {
-        // The no-clone hot path must stay byte-identical to the owned encoding —
-        // readers only ever see `JournalRecord` frames.
-        let commit = demo_commit();
-        let mut borrowed = Vec::new();
-        JournalRecord::encode_commit(&commit, &mut borrowed);
-        assert_eq!(borrowed, JournalRecord::Commit(commit).to_bytes());
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_digests_match() {
+    fn digests_reject_a_commit_changed_in_any_one_field() {
         let commit = demo_commit();
         let digest = CommitDigest::of(&commit);
         assert!(digest.matches(&commit));
-        let mut tampered = commit.clone();
-        tampered.outcome.cost += 0.01;
-        assert!(!digest.matches(&tampered));
-        round_trip(JournalRecord::Snapshot(JournalSnapshot {
-            config: demo_config(),
-            dispatches: vec![DispatchRecord {
-                tick: 1,
-                job: JobId(0),
-                hit: HitId(0),
-                workers: vec![WorkerId(0)],
-                at: 0.0,
-            }],
-            commits: vec![digest],
-            charged: 0.11,
-        }));
+        assert_eq!(digest.charge, commit.outcome.cost);
+        assert_eq!(digest.completed_at, commit.completed_at);
+        type Edit = fn(&mut BatchCommit);
+        let edits: [(&str, Edit); 18] = [
+            ("job", |c| c.job = JobId(3)),
+            ("seq", |c| c.seq += 1),
+            ("hit", |c| c.hit = HitId(41)),
+            ("range", |c| c.range = 4..7),
+            ("verdict label", |c| {
+                for v in &mut c.outcome.verdicts {
+                    v.verdict = Verdict::Accepted {
+                        label: Label::new("neg"),
+                        confidence: 0.93,
+                    };
+                }
+            }),
+            ("verdict confidence", |c| {
+                for v in &mut c.outcome.verdicts {
+                    v.verdict = Verdict::Accepted {
+                        label: Label::new("pos"),
+                        confidence: 0.94,
+                    };
+                }
+            }),
+            ("verdict reasons", |c| {
+                for v in &mut c.outcome.verdicts {
+                    v.reasons.push("early".to_string());
+                }
+            }),
+            ("verdict answers_used", |c| {
+                for v in &mut c.outcome.verdicts {
+                    v.answers_used += 1;
+                }
+            }),
+            ("verdict is_gold", |c| {
+                for v in &mut c.outcome.verdicts {
+                    v.is_gold = true;
+                }
+            }),
+            ("registry entry", |c| {
+                c.outcome.registry.set(WorkerId(3), 0.75, 2)
+            }),
+            ("estimated_mean_accuracy", |c| {
+                c.outcome.estimated_mean_accuracy = Some(0.82)
+            }),
+            ("cost", |c| c.outcome.cost += 0.01),
+            ("completed_at", |c| c.completed_at = 12.75),
+            ("first_verdict_at", |c| c.first_verdict_at = None),
+            ("reclaimed_minutes", |c| c.reclaimed_minutes = 1.75),
+            ("answers_cancelled", |c| c.answers_cancelled += 1),
+            ("cancelled", |c| c.cancelled = false),
+            ("workers_assigned", |c| c.outcome.workers_assigned += 1),
+        ];
+        for (field, edit) in edits {
+            let mut changed = commit.clone();
+            edit(&mut changed);
+            assert_ne!(changed, commit, "{field}: the edit must change the commit");
+            assert!(
+                !digest.matches(&changed),
+                "{field}: the digest must reject it"
+            );
+        }
+        // The plain fields are checked too: recovery reads the charge off the record.
+        let mut wrong_charge = digest.clone();
+        wrong_charge.charge += 0.01;
+        assert!(!wrong_charge.matches(&commit));
     }
 
     #[test]

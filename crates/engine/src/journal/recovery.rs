@@ -9,7 +9,8 @@
 //!
 //! - a replayed record that matches the journal's next record for that job **consumes**
 //!   it — that work was already journaled (and, for commits, already paid for) by the
-//!   crashed run, so it is *recovered*, not re-appended and not re-paid;
+//!   crashed run, so it is *recovered*, not re-appended and not re-paid. A replayed
+//!   commit matches when its [`CommitDigest`] equals the journaled one;
 //! - a replayed record with no journaled counterpart is *resumed* work: appended to the
 //!   journal exactly as a live run would have;
 //! - a replayed record that **contradicts** its journaled counterpart aborts recovery
@@ -29,7 +30,7 @@ use cdas_core::{CdasError, Result};
 use crate::fleet::FleetEvent;
 use crate::scheduler::{BatchCommit, DispatchRecord, JobId, RunObserver};
 
-use super::record::{CommitDigest, JournalRecord, JournalSnapshot, RunConfig};
+use super::record::{CommitDigest, JournalRecord, RunConfig};
 use super::{Journal, JournalContents};
 
 /// What recovery found in the journal and what the resumed run added.
@@ -67,44 +68,17 @@ impl RecoveryReport {
     }
 }
 
-/// A journaled commit: full payload (live journal) or digest (after compaction).
-#[derive(Debug, Clone)]
-pub enum JournaledCommit {
-    /// The full commit as appended by the run.
-    Full(BatchCommit),
-    /// A compaction digest standing in for the full commit.
-    Digest(CommitDigest),
-}
-
-impl JournaledCommit {
-    fn charge(&self) -> f64 {
-        match self {
-            JournaledCommit::Full(commit) => commit.charge,
-            JournaledCommit::Digest(digest) => digest.charge,
-        }
-    }
-
-    fn matches(&self, commit: &BatchCommit) -> bool {
-        match self {
-            JournaledCommit::Full(journaled) => journaled == commit,
-            JournaledCommit::Digest(digest) => digest.matches(commit),
-        }
-    }
-}
-
 /// The journal's records, assembled into the per-job state recovery matches against.
 #[derive(Debug)]
 pub struct JournalReplay {
-    /// The run configuration from the head record (`RunStarted` or `Snapshot`).
+    /// The run configuration from the head record (`RunStarted`).
     pub config: RunConfig,
     /// Journaled dispatches, per job, in journal order.
     pub dispatches: Vec<VecDeque<DispatchRecord>>,
-    /// Journaled commits keyed by `(job, seq)`.
-    pub commits: BTreeMap<(usize, usize), JournaledCommit>,
+    /// Journaled commit digests keyed by `(job, seq)`.
+    pub commits: BTreeMap<(usize, usize), CommitDigest>,
     /// Journaled per-poll charges, per job, as `(hit, amount bits, at bits)`.
     pub charges: Vec<VecDeque<(HitId, u64, u64)>>,
-    /// Charges folded away by a compaction snapshot.
-    pub charged_before_snapshot: f64,
     /// Journaled fleet events (only present once a run finished, or partially if the
     /// crash hit the event flush).
     pub events: Vec<FleetEvent>,
@@ -133,11 +107,6 @@ impl JournalReplay {
                         return Err(diverged("second RunStarted record"));
                     }
                     replay = Some(JournalReplay::empty(config.clone(), contents.torn_tail));
-                }
-                JournalRecord::Snapshot(snapshot) => {
-                    // A snapshot replaces everything before it (compaction writes it as
-                    // the first record of the surviving segment).
-                    replay = Some(JournalReplay::from_snapshot(snapshot, contents.torn_tail)?);
                 }
                 JournalRecord::Dispatch(dispatch) => {
                     let replay = replay
@@ -173,11 +142,7 @@ impl JournalReplay {
                         return Err(diverged(format!("commit for unknown job {}", commit.job.0)));
                     }
                     let key = (commit.job.0, commit.seq);
-                    if replay
-                        .commits
-                        .insert(key, JournaledCommit::Full(commit.clone()))
-                        .is_some()
-                    {
+                    if replay.commits.insert(key, commit.clone()).is_some() {
                         return Err(diverged(format!(
                             "duplicate commit for job {} seq {}",
                             key.0, key.1
@@ -222,71 +187,9 @@ impl JournalReplay {
             dispatches: (0..jobs).map(|_| VecDeque::new()).collect(),
             commits: BTreeMap::new(),
             charges: (0..jobs).map(|_| VecDeque::new()).collect(),
-            charged_before_snapshot: 0.0,
             events: Vec::new(),
             completed: None,
             torn_tail,
-        }
-    }
-
-    fn from_snapshot(snapshot: &JournalSnapshot, torn_tail: bool) -> Result<Self> {
-        let mut replay = JournalReplay::empty(snapshot.config.clone(), torn_tail);
-        for dispatch in &snapshot.dispatches {
-            let job = dispatch.job.0;
-            replay
-                .dispatches
-                .get_mut(job)
-                .ok_or_else(|| diverged(format!("snapshot dispatch for unknown job {job}")))?
-                .push_back(dispatch.clone());
-        }
-        for digest in &snapshot.commits {
-            let key = (digest.job.0, digest.seq);
-            if key.0 >= replay.charges.len() {
-                return Err(diverged(format!(
-                    "snapshot commit for unknown job {}",
-                    key.0
-                )));
-            }
-            if replay
-                .commits
-                .insert(key, JournaledCommit::Digest(digest.clone()))
-                .is_some()
-            {
-                return Err(diverged(format!(
-                    "duplicate snapshot commit for job {} seq {}",
-                    key.0, key.1
-                )));
-            }
-        }
-        replay.charged_before_snapshot = snapshot.charged;
-        Ok(replay)
-    }
-
-    /// Fold this replay into a compaction snapshot (full commits become digests, charge
-    /// queues fold into one total).
-    pub fn to_snapshot(&self) -> JournalSnapshot {
-        let mut charged = self.charged_before_snapshot;
-        for queue in &self.charges {
-            for &(_, amount_bits, _) in queue {
-                charged += f64::from_bits(amount_bits);
-            }
-        }
-        JournalSnapshot {
-            config: self.config.clone(),
-            dispatches: self
-                .dispatches
-                .iter()
-                .flat_map(|queue| queue.iter().cloned())
-                .collect(),
-            commits: self
-                .commits
-                .values()
-                .map(|commit| match commit {
-                    JournaledCommit::Full(full) => CommitDigest::of(full),
-                    JournaledCommit::Digest(digest) => digest.clone(),
-                })
-                .collect(),
-            charged,
         }
     }
 }
@@ -294,7 +197,7 @@ impl JournalReplay {
 struct RecoveryState {
     journal: Journal,
     dispatches: Vec<VecDeque<DispatchRecord>>,
-    commits: BTreeMap<(usize, usize), JournaledCommit>,
+    commits: BTreeMap<(usize, usize), CommitDigest>,
     charges: Vec<VecDeque<(HitId, u64, u64)>>,
     journaled_events: Vec<FleetEvent>,
     completed: Option<(f64, usize, f64)>,
@@ -497,7 +400,7 @@ impl RunObserver for RecoveryObserver {
             Some(journaled) => {
                 if journaled.matches(commit) {
                     state.recovered_hits += 1;
-                    state.recovered_cost += journaled.charge();
+                    state.recovered_cost += journaled.charge;
                 } else {
                     state.diverge(format!(
                         "commit for job {} seq {} does not match the journaled one",
@@ -509,10 +412,10 @@ impl RunObserver for RecoveryObserver {
                 // Append before touching the resumed counters: the record is
                 // what makes the commit durable, and a failed write must not
                 // leave state claiming a hit the journal never saw.
-                let record = JournalRecord::Commit(commit.clone());
+                let record = JournalRecord::Commit(CommitDigest::of(commit));
                 state.append(&record);
                 state.resumed_hits += 1;
-                state.resumed_cost += commit.charge;
+                state.resumed_cost += commit.outcome.cost;
             }
         }
     }
@@ -558,22 +461,6 @@ impl JournalSink {
         }
     }
 
-    /// Append a commit through the no-clone path, capturing any I/O error.
-    /// Commits are the heaviest records on the hot path (verdicts plus registry
-    /// contributions); deep-cloning one just to serialize it dominated the
-    /// journal's wall overhead.
-    fn append_commit(&self, commit: &BatchCommit) {
-        // cdas-allow(lock_discipline): failure guard intentionally spans the append so the first I/O error wins
-        let mut failure = Self::relock(&self.failure);
-        if failure.is_some() {
-            return;
-        }
-        let mut journal = Self::relock(&self.journal);
-        if let Err(e) = journal.append_commit(commit) {
-            *failure = Some(e);
-        }
-    }
-
     /// Fsync the journal, capturing any error.
     pub fn sync(&self) {
         // cdas-allow(lock_discipline): failure guard intentionally spans the fsync so the first I/O error wins
@@ -608,6 +495,6 @@ impl RunObserver for JournalSink {
     }
 
     fn on_commit(&self, commit: &BatchCommit) {
-        self.append_commit(commit);
+        self.append(&JournalRecord::Commit(CommitDigest::of(commit)));
     }
 }

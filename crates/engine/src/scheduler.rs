@@ -249,8 +249,6 @@ pub struct BatchCommit {
     pub range: std::ops::Range<usize>,
     /// The engine outcome being committed (verdicts, cost, registry contributions).
     pub outcome: HitOutcome,
-    /// What the batch charged the requester (`outcome.cost`).
-    pub charge: f64,
     /// Simulated completion time (0.0 in end-of-time runs).
     pub completed_at: f64,
     /// Simulated time of the batch's first verdict, if any arrived.
@@ -1130,7 +1128,6 @@ impl JobScheduler {
                         seq: state.runs.len(),
                         hit,
                         range: batch.range.clone(),
-                        charge: clocked.outcome.cost,
                         completed_at: clocked.completed_at,
                         first_verdict_at: clocked.first_verdict_at,
                         reclaimed_minutes: clocked.reclaimed_minutes,

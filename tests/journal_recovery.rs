@@ -2,14 +2,16 @@
 //!
 //! The contract under test: a fleet run journaled via [`FleetBuilder::journal`] can be
 //! recovered from *any* crash signature the journal layer can exhibit — a torn final
-//! frame, a write kill mid-run, a compaction snapshot plus a partial tail, or a journal
-//! that already holds the whole run — and `Fleet::recover` resumes it to a report and
+//! frame, a write kill mid-run, a second write kill while resuming, or a journal that
+//! already holds the whole run — and `Fleet::recover` resumes it to a report and
 //! event stream identical (wall clock aside) to a run that never crashed. Corruption
-//! that is *not* a crash signature (a flipped byte away from the tail) must be rejected
-//! loudly, never silently replayed.
+//! that is *not* a crash signature (a flipped byte away from the tail, an altered commit
+//! digest, a segment in an older format) must be rejected loudly, never silently
+//! replayed.
 
 use std::path::{Path, PathBuf};
 
+use cdas::core::codec::BinCodec;
 use cdas::core::types::HitId;
 use cdas::core::CdasError;
 use cdas::fixtures::demo_questions;
@@ -184,38 +186,51 @@ fn corruption_away_from_the_tail_is_rejected() {
 }
 
 #[test]
-fn recovery_from_snapshot_plus_partial_tail() {
+fn a_second_crash_during_resume_recovers_to_a_complete_journal() {
     let mode = ExecutionMode::Clocked;
     let expected = baseline(mode);
 
-    // Crash the journal mid-run (the run itself finishes; the journal's on-disk state
-    // is frozen at the write kill, like a supervisor snapshotting the crash instant).
-    let dir = temp_dir("snapshot");
-    let full = {
-        let probe = temp_dir("snapshot-probe");
-        journaled(&probe, JournalConfig::default())
-            .run(mode)
-            .unwrap();
-        journal_bytes(&probe)
-    };
+    // Find where the journal's middle commit ends: the segment header, then each
+    // frame's 8-byte header and payload, up to and including that commit's frame.
+    let probe = temp_dir("second-crash-probe");
+    journaled(&probe, JournalConfig::default())
+        .run(mode)
+        .unwrap();
+    let contents = Journal::read(&probe).unwrap();
+    assert_eq!(
+        contents.segments, 1,
+        "the probe journal fits in one segment"
+    );
+    let commits = contents
+        .records
+        .iter()
+        .filter(|record| matches!(record, JournalRecord::Commit(_)))
+        .count();
+    assert!(commits >= 2, "the fleet commits more than one batch");
+    let mut cut = 16;
+    let mut seen = 0;
+    for record in &contents.records {
+        cut += 8 + record.to_bytes().len() as u64;
+        if matches!(record, JournalRecord::Commit(_)) {
+            seen += 1;
+            if seen == commits / 2 {
+                break;
+            }
+        }
+    }
+
+    // Crash the journal right after that commit (the run itself finishes; the
+    // journal's on-disk state is frozen at the write kill, like a power cut)…
+    let dir = temp_dir("second-crash");
     journaled(
         &dir,
         JournalConfig {
-            fail_writes_after: Some(full / 2),
+            fail_writes_after: Some(cut),
             ..JournalConfig::default()
         },
     )
     .run(mode)
     .unwrap();
-
-    // Compact the crashed journal into a snapshot…
-    Journal::compact(&dir).unwrap();
-    let compacted = Journal::read(&dir).unwrap();
-    assert_eq!(compacted.segments, 1);
-    assert!(matches!(
-        compacted.records.first(),
-        Some(JournalRecord::Snapshot(_))
-    ));
 
     // …resume it with the journal crashing *again* partway through the resumed tail…
     let (run, report) = Fleet::recover_with_config(
@@ -226,13 +241,17 @@ fn recovery_from_snapshot_plus_partial_tail() {
         },
     )
     .unwrap();
-    assert_equals_baseline(&run, &expected, "resume from snapshot");
+    assert_equals_baseline(&run, &expected, "resume killed again");
     assert!(!report.was_complete);
-    assert!(report.recovered_hits > 0, "snapshot commits were matched");
+    assert!(report.recovered_hits > 0, "journaled commits were matched");
 
-    // …and recover once more from snapshot + partial tail, to a complete journal.
+    // …and recover once more from the twice-crashed journal, to a complete journal.
     let (run, report) = Fleet::recover(&dir).unwrap();
-    assert_equals_baseline(&run, &expected, "recover snapshot + partial tail");
+    assert_equals_baseline(&run, &expected, "recover after the second crash");
+    assert!(
+        !report.was_complete,
+        "the resume was killed before its trailer"
+    );
     let (_, finished) = Fleet::recover(&dir).unwrap();
     assert!(finished.was_complete, "third recovery is a no-op");
     assert_eq!(
@@ -240,6 +259,73 @@ fn recovery_from_snapshot_plus_partial_tail() {
         finished.recovered_hits,
         "recovered + resumed converges to the full run's commit count"
     );
+}
+
+#[test]
+fn an_altered_commit_digest_diverges_naming_its_job_and_seq() {
+    let dir = temp_dir("altered-digest");
+    journaled(&dir, JournalConfig::default())
+        .run(ExecutionMode::Clocked)
+        .unwrap();
+    let original = Journal::read(&dir).unwrap();
+    // Rewrite the journal with the last commit's fingerprint flipped by one bit.
+    let last_commit = original
+        .records
+        .iter()
+        .rposition(|record| matches!(record, JournalRecord::Commit(_)))
+        .expect("the run committed batches");
+    let mut journal = Journal::create(&dir, JournalConfig::default()).unwrap();
+    let mut altered = None;
+    for (i, record) in original.records.iter().enumerate() {
+        match record {
+            JournalRecord::Commit(digest) if i == last_commit => {
+                let mut digest = digest.clone();
+                digest.digest ^= 1;
+                altered = Some((digest.job.0, digest.seq));
+                journal.append(&JournalRecord::Commit(digest)).unwrap();
+            }
+            _ => journal.append(record).unwrap(),
+        }
+    }
+    journal.sync().unwrap();
+    drop(journal);
+    let (job, seq) = altered.unwrap();
+    match Fleet::recover(&dir) {
+        Err(CdasError::JournalDiverged { detail }) => assert!(
+            detail.contains(&format!("job {job} seq {seq}")),
+            "detail names the altered commit (job {job} seq {seq}): {detail}"
+        ),
+        other => panic!("expected JournalDiverged, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_segment_in_the_old_format_is_corrupt() {
+    let dir = temp_dir("old-format");
+    journaled(&dir, JournalConfig::default())
+        .run(ExecutionMode::Clocked)
+        .unwrap();
+    // Stamp the previous format's magic over the segment header: its records would
+    // decode as something else, so the whole segment must be refused.
+    let segment = dir.join("segment-000000.wal");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    assert_eq!(bytes.get(..8), Some(b"CDASWAL2".as_slice()));
+    bytes.splice(..8, *b"CDASWAL1");
+    std::fs::write(&segment, bytes).unwrap();
+    for result in [
+        Journal::read(&dir).map(|_| ()),
+        Fleet::recover(&dir).map(|_| ()),
+    ] {
+        match result {
+            Err(CdasError::JournalCorrupt {
+                segment, detail, ..
+            }) => {
+                assert!(segment.contains("segment-000000"), "{segment}");
+                assert!(detail.contains("magic"), "{detail}");
+            }
+            other => panic!("expected JournalCorrupt, got {other:?}"),
+        }
+    }
 }
 
 #[test]
