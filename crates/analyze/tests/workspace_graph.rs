@@ -31,7 +31,7 @@ fn index_resolves_unique_names_and_rejects_ambiguous_ones() {
     }
     // Ambiguous names must never resolve — that is the zero-false-positive
     // contract of unique-name resolution.
-    for name in ["append", "release", "snapshot", "new", "accuracy_of"] {
+    for name in ["append", "release", "subset", "new", "accuracy_of"] {
         assert!(
             index.resolve(name).is_none(),
             "`{name}` is defined more than once and must stay unresolved"

@@ -150,6 +150,18 @@ impl AccuracyRegistry {
         self.entries.is_empty()
     }
 
+    /// A registry holding only the estimates of `workers` (workers without one are
+    /// skipped), with this registry's default accuracy.
+    pub fn subset(&self, workers: impl IntoIterator<Item = WorkerId>) -> AccuracyRegistry {
+        AccuracyRegistry {
+            entries: workers
+                .into_iter()
+                .filter_map(|w| self.entries.get(&w).map(|e| (w, *e)))
+                .collect(),
+            default_accuracy: self.default_accuracy,
+        }
+    }
+
     /// Iterate over `(worker, estimate)` pairs in worker-id order.
     pub fn iter(&self) -> impl Iterator<Item = (&WorkerId, &WorkerAccuracy)> {
         self.entries.iter()
@@ -232,6 +244,21 @@ mod tests {
         assert!((r.mean_accuracy().unwrap() - 0.8).abs() < 1e-12);
         assert_eq!(r.iter().count(), 2);
         assert_eq!(r.get(WorkerId(2)).unwrap().samples, 20);
+    }
+
+    #[test]
+    fn subset_keeps_the_named_workers_and_the_default() {
+        let mut r = AccuracyRegistry::new().with_default_accuracy(0.6);
+        r.set(WorkerId(1), 0.9, 20);
+        r.set(WorkerId(2), 0.7, 0);
+        r.set(WorkerId(3), 0.8, 4);
+        let sub = r.subset([WorkerId(3), WorkerId(1), WorkerId(3), WorkerId(9)]);
+        assert_eq!(sub.len(), 2);
+        assert_eq!(sub.get(WorkerId(1)), r.get(WorkerId(1)));
+        assert_eq!(sub.get(WorkerId(3)), r.get(WorkerId(3)));
+        assert_eq!(sub.get(WorkerId(2)), None);
+        assert_eq!(sub.default_accuracy(), Some(0.6));
+        assert!(r.subset([]).is_empty());
     }
 
     #[test]

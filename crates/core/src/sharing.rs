@@ -31,8 +31,8 @@
 //! job_a_handle.record(WorkerId(7), 0.9, 10);
 //!
 //! let cache = AccuracyCache::new(shared);
-//! assert_eq!(cache.snapshot().accuracy_of(WorkerId(7)), Some(0.9));
-//! let _ = cache.snapshot(); // no write since the previous read: a hit
+//! assert_eq!(cache.subset([WorkerId(7)]).accuracy_of(WorkerId(7)), Some(0.9));
+//! assert_eq!(cache.accuracy_of(WorkerId(7)), Some(0.9)); // no write since: a hit
 //! assert_eq!(cache.hits(), 1);
 //! ```
 
@@ -236,13 +236,14 @@ fn merge_entry(
 
 /// A scheduler's read handle on a [`SharedAccuracyRegistry`].
 ///
-/// [`snapshot`](AccuracyCache::snapshot) and [`accuracy_of`](AccuracyCache::accuracy_of)
-/// read the shared registry in place. Each read counts as a *hit* when no write changed
-/// the registry since this handle's previous read, and as a *miss* otherwise (the first
-/// read is a miss): reads that follow a batch's new gold estimates miss, while reads in
-/// batches that learned nothing new — gold-free jobs, steady state after the crowd is
-/// fully estimated — hit. [`hits`](AccuracyCache::hits) and
-/// [`misses`](AccuracyCache::misses) feed the fleet metrics.
+/// [`subset`](AccuracyCache::subset) and [`accuracy_of`](AccuracyCache::accuracy_of)
+/// read the shared registry in place and copy only the estimates they are asked for.
+/// Each read counts as a *hit* when no write changed the registry since this handle's
+/// previous read, and as a *miss* otherwise (the first read is a miss): reads that
+/// follow a batch's new gold estimates miss, while reads in batches that learned
+/// nothing new — gold-free jobs, steady state after the crowd is fully estimated — hit.
+/// [`hits`](AccuracyCache::hits) and [`misses`](AccuracyCache::misses) feed the fleet
+/// metrics.
 #[derive(Debug)]
 pub struct AccuracyCache {
     shared: SharedAccuracyRegistry,
@@ -279,10 +280,11 @@ impl AccuracyCache {
         counter.set(counter.get() + 1);
     }
 
-    /// The current registry contents.
-    pub fn snapshot(&self) -> AccuracyRegistry {
+    /// The current estimates of `workers` only, with the shared registry's default
+    /// accuracy ([`AccuracyRegistry::subset`]).
+    pub fn subset(&self, workers: impl IntoIterator<Item = WorkerId>) -> AccuracyRegistry {
         self.count_read();
-        self.shared.snapshot()
+        self.shared.read_registry().subset(workers)
     }
 
     /// A single worker's current shared estimate, if any.
@@ -417,13 +419,13 @@ mod tests {
         let shared = SharedAccuracyRegistry::new();
         shared.record(WorkerId(3), 0.75, 3);
         let cache = AccuracyCache::new(shared.clone());
-        assert_eq!(cache.snapshot().len(), 1);
+        assert_eq!(cache.subset([WorkerId(3), WorkerId(4)]).len(), 1);
         assert_eq!(cache.accuracy_of(WorkerId(3)), Some(0.75));
         assert_eq!(cache.misses(), 1, "only the first read rebuilds");
         assert_eq!(cache.hits(), 1);
         // A write through any handle invalidates the cache.
         shared.record(WorkerId(4), 0.65, 2);
-        assert_eq!(cache.snapshot().len(), 2);
+        assert_eq!(cache.subset([WorkerId(3), WorkerId(4)]).len(), 2);
         assert_eq!(cache.misses(), 2);
         assert!(cache.hit_rate() > 0.0);
     }

@@ -16,7 +16,7 @@
 //! * Leases release **on drop (RAII)**. A [`WorkerLease`] holds a handle back to its
 //!   table and returns its workers the moment it goes out of scope — through an early
 //!   `?` return, a panic unwinding a shard thread, or a plain happy-path drop. A
-//!   scheduler bug (or crash) can therefore never strand workers in the busy set; the
+//!   scheduler bug (or crash) can therefore never strand workers as checked out; the
 //!   leak the old explicit-release protocol allowed on error paths is structurally gone.
 //!
 //! The ledger deliberately holds only [`WorkerId`]s, not worker state: it composes with
@@ -39,7 +39,8 @@
 //! assert_eq!(ledger.available(), 10);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdas_core::types::WorkerId;
@@ -57,23 +58,32 @@ pub struct LeaseId(pub u64);
 #[derive(Debug, Default)]
 struct LedgerState {
     roster: Vec<WorkerId>,
-    busy: BTreeSet<WorkerId>,
-    leases: BTreeMap<LeaseId, Vec<WorkerId>>,
+    /// Each worker's position in `roster`.
+    position: BTreeMap<WorkerId, usize>,
+    /// Whether the worker at each roster position is checked out.
+    checked_out: Vec<bool>,
+    /// The roster positions each outstanding lease holds.
+    leases: BTreeMap<LeaseId, Vec<usize>>,
     next_lease: u64,
 }
 
 impl LedgerState {
+    /// Number of workers checked out: leases are disjoint, so the sum of their sizes.
+    fn leased(&self) -> usize {
+        self.leases.values().map(Vec::len).sum()
+    }
+
     /// Return a lease's workers to the free roster; no-op for unknown/released ids.
     fn release(&mut self, lease: LeaseId) -> usize {
-        match self.leases.remove(&lease) {
-            None => 0,
-            Some(workers) => {
-                for w in &workers {
-                    self.busy.remove(w);
-                }
-                workers.len()
+        let Some(positions) = self.leases.remove(&lease) else {
+            return 0;
+        };
+        for &p in &positions {
+            if let Some(flag) = self.checked_out.get_mut(p) {
+                *flag = false;
             }
         }
+        positions.len()
     }
 }
 
@@ -131,8 +141,12 @@ impl Drop for WorkerLease {
 ///
 /// `PoolLedger` is a handle: clones share the same table, so a test (or a supervisor
 /// thread) can keep a clone and watch `available()`/`outstanding_leases()` while a
-/// scheduler leases through its own. All operations are O(roster) or better and
-/// deterministic given the caller's RNG, like everything else in the simulation.
+/// scheduler leases through its own. The table keeps one leased flag per roster
+/// position. [`try_lease`](Self::try_lease) is O(roster): it collects the free
+/// positions with one pass over the flags and shuffles them. Releasing a lease is
+/// O(lease size), [`is_leased`](Self::is_leased) is O(log roster), and the counts are
+/// O(outstanding leases). Everything is deterministic given the caller's RNG, like the
+/// rest of the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct PoolLedger {
     table: Arc<Mutex<LedgerState>>,
@@ -141,15 +155,19 @@ pub struct PoolLedger {
 impl PoolLedger {
     /// A ledger over an explicit roster (duplicates are collapsed, order preserved).
     pub fn new(roster: impl IntoIterator<Item = WorkerId>) -> Self {
-        let mut seen = BTreeSet::new();
-        let roster = roster
-            .into_iter()
-            .filter(|w| seen.insert(*w))
-            .collect::<Vec<_>>();
+        let mut position = BTreeMap::new();
+        let mut ids = Vec::new();
+        for worker in roster {
+            if let Entry::Vacant(slot) = position.entry(worker) {
+                slot.insert(ids.len());
+                ids.push(worker);
+            }
+        }
         PoolLedger {
             table: Arc::new(Mutex::new(LedgerState {
-                roster,
-                busy: BTreeSet::new(),
+                checked_out: vec![false; ids.len()],
+                roster: ids,
+                position,
                 leases: BTreeMap::new(),
                 next_lease: 0,
             })),
@@ -184,12 +202,12 @@ impl PoolLedger {
     /// Number of workers currently free.
     pub fn available(&self) -> usize {
         let state = self.state();
-        state.roster.len() - state.busy.len()
+        state.roster.len() - state.leased()
     }
 
     /// Number of workers currently checked out.
     pub fn leased(&self) -> usize {
-        self.state().busy.len()
+        self.state().leased()
     }
 
     /// Number of outstanding leases.
@@ -199,12 +217,24 @@ impl PoolLedger {
 
     /// Whether a specific worker is currently checked out.
     pub fn is_leased(&self, worker: WorkerId) -> bool {
-        self.state().busy.contains(&worker)
+        let state = self.state();
+        state
+            .position
+            .get(&worker)
+            .and_then(|&p| state.checked_out.get(p))
+            .is_some_and(|&out| out)
     }
 
     /// The workers behind an outstanding lease.
     pub fn workers_of(&self, lease: LeaseId) -> Option<Vec<WorkerId>> {
-        self.state().leases.get(&lease).cloned()
+        let state = self.state();
+        let positions = state.leases.get(&lease)?;
+        Some(
+            positions
+                .iter()
+                .filter_map(|&p| state.roster.get(p).copied())
+                .collect(),
+        )
     }
 
     /// Try to check out `n` distinct free workers, chosen uniformly at random among the
@@ -218,26 +248,37 @@ impl PoolLedger {
             return None;
         }
         let mut state = self.state();
-        let mut free: Vec<WorkerId> = state
-            .roster
-            .iter()
-            .copied()
-            .filter(|w| !state.busy.contains(w))
-            .collect();
-        if free.len() < n {
+        if state.roster.len() - state.leased() < n {
             return None;
         }
+        // The free positions in roster order, shuffled whole: the same draws, and so the
+        // same workers, as shuffling the free workers themselves.
+        let mut free: Vec<usize> = state
+            .checked_out
+            .iter()
+            .enumerate()
+            .filter(|&(_, &out)| !out)
+            .map(|(p, _)| p)
+            .collect();
         free.shuffle(rng);
         free.truncate(n);
-        for w in &free {
-            state.busy.insert(*w);
+        // Flags go up only once the caller's RNG is done: a panic inside the shuffle
+        // leaves the table as it was.
+        for &p in &free {
+            if let Some(flag) = state.checked_out.get_mut(p) {
+                *flag = true;
+            }
         }
+        let workers = free
+            .iter()
+            .filter_map(|&p| state.roster.get(p).copied())
+            .collect();
         let id = LeaseId(state.next_lease);
         state.next_lease += 1;
-        state.leases.insert(id, free.clone());
+        state.leases.insert(id, free);
         Some(WorkerLease {
             id,
-            workers: free,
+            workers,
             table: Arc::clone(&self.table),
         })
     }
@@ -422,5 +463,133 @@ mod tests {
             l.try_lease(10, &mut rng).unwrap().workers().to_vec()
         };
         assert_eq!(pick(), pick());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    /// The lease table as a busy set probed once per roster worker: the reference the
+    /// flag-indexed table must match draw for draw.
+    struct BusySetLedger {
+        roster: Vec<WorkerId>,
+        busy: BTreeSet<WorkerId>,
+        leases: BTreeMap<LeaseId, Vec<WorkerId>>,
+        next_lease: u64,
+    }
+
+    impl BusySetLedger {
+        fn new(roster: &[WorkerId]) -> Self {
+            let mut seen = BTreeSet::new();
+            BusySetLedger {
+                roster: roster.iter().copied().filter(|w| seen.insert(*w)).collect(),
+                busy: BTreeSet::new(),
+                leases: BTreeMap::new(),
+                next_lease: 0,
+            }
+        }
+
+        fn try_lease(&mut self, n: usize, rng: &mut StdRng) -> Option<(LeaseId, Vec<WorkerId>)> {
+            if n == 0 {
+                return None;
+            }
+            let mut free: Vec<WorkerId> = self
+                .roster
+                .iter()
+                .copied()
+                .filter(|w| !self.busy.contains(w))
+                .collect();
+            if free.len() < n {
+                return None;
+            }
+            free.shuffle(rng);
+            free.truncate(n);
+            self.busy.extend(free.iter().copied());
+            let id = LeaseId(self.next_lease);
+            self.next_lease += 1;
+            self.leases.insert(id, free.clone());
+            Some((id, free))
+        }
+
+        fn release(&mut self, lease: LeaseId) -> usize {
+            let workers = self.leases.remove(&lease).unwrap_or_default();
+            for w in &workers {
+                self.busy.remove(w);
+            }
+            workers.len()
+        }
+    }
+
+    fn assert_same_table(ledger: &PoolLedger, reference: &BusySetLedger) {
+        assert_eq!(
+            ledger.available(),
+            reference.roster.len() - reference.busy.len()
+        );
+        assert_eq!(ledger.leased(), reference.busy.len());
+        assert_eq!(ledger.outstanding_leases(), reference.leases.len());
+        // Ids 40 and 41 are never on a roster.
+        for id in 0..42 {
+            assert_eq!(
+                ledger.is_leased(WorkerId(id)),
+                reference.busy.contains(&WorkerId(id)),
+                "worker {id}"
+            );
+        }
+        for (&id, workers) in &reference.leases {
+            assert_eq!(ledger.workers_of(id).as_ref(), Some(workers));
+        }
+    }
+
+    proptest! {
+        /// Any sequence of leases, guard drops and releases by id leaves the
+        /// flag-indexed table where the busy-set table would be, picking the same
+        /// workers from the same RNG, on a roster out of id order and with duplicates.
+        #[test]
+        fn flag_table_matches_the_busy_set_table(
+            roster in prop::collection::vec(0u64..40, 0..40),
+            ops in prop::collection::vec((0usize..3, 0usize..64), 0..40),
+            seed in 0u64..1_000,
+        ) {
+            let roster: Vec<WorkerId> = roster.into_iter().map(WorkerId).collect();
+            let ledger = PoolLedger::new(roster.iter().copied());
+            let mut reference = BusySetLedger::new(&roster);
+            prop_assert_eq!(ledger.roster(), reference.roster.clone());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = rng.clone();
+            let mut guards: Vec<WorkerLease> = Vec::new();
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        let n = arg % (reference.roster.len() + 2);
+                        let lease = ledger.try_lease(n, &mut rng);
+                        let expected = reference.try_lease(n, &mut reference_rng);
+                        prop_assert_eq!(
+                            lease.as_ref().map(|l| (l.id, l.workers().to_vec())),
+                            expected
+                        );
+                        guards.extend(lease);
+                    }
+                    1 if !guards.is_empty() => {
+                        let guard = guards.remove(arg % guards.len());
+                        reference.release(guard.id);
+                        drop(guard);
+                    }
+                    _ => {
+                        let id = LeaseId((arg as u64) % (reference.next_lease + 1));
+                        prop_assert_eq!(ledger.release(id), reference.release(id));
+                    }
+                }
+                prop_assert_eq!(rng.clone(), reference_rng.clone());
+                assert_same_table(&ledger, &reference);
+            }
+            drop(guards);
+            prop_assert_eq!(ledger.available(), reference.roster.len());
+            prop_assert_eq!(ledger.outstanding_leases(), 0);
+        }
     }
 }

@@ -69,6 +69,10 @@ impl PoolConfig {
 }
 
 /// The worker population.
+///
+/// Workers are kept in ascending id order: [`generate`](Self::generate) numbers them
+/// `0..size` and [`partition`](Self::partition) keeps each shard's workers in pool
+/// order. [`get`](Self::get) relies on this to binary-search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerPool {
     workers: Vec<SimulatedWorker>,
@@ -112,9 +116,10 @@ impl WorkerPool {
         &self.workers
     }
 
-    /// Look up a worker by id.
+    /// Look up a worker by id (a binary search over the id-ordered workers).
     pub fn get(&self, id: WorkerId) -> Option<&SimulatedWorker> {
-        self.workers.iter().find(|w| w.id == id)
+        let index = self.workers.binary_search_by_key(&id, |w| w.id).ok()?;
+        self.workers.get(index)
     }
 
     /// Pick `n` distinct random workers ("n random workers provide the answers", §3.1).
@@ -329,6 +334,8 @@ mod proptests {
         /// The parallel fleet's isolation invariant: shard-partitioning assigns every
         /// worker to exactly one shard — no worker in two shards (two shard threads could
         /// otherwise lease the same worker into overlapping HITs), and no worker dropped.
+        /// Each shard's `get` finds exactly its own workers: shard ids are strided, so a
+        /// shard out of id order would make the binary search miss.
         #[test]
         fn partition_is_disjoint_and_covering(size in 1usize..120, shards in 1usize..12) {
             let pool = WorkerPool::generate(&PoolConfig::clean(size, 0.8, 7));
@@ -348,6 +355,17 @@ mod proptests {
                 }
             }
             prop_assert_eq!(seen.len(), pool.len(), "every worker is in some shard");
+            for (s, part) in parts.iter().enumerate() {
+                for (&id, &owner) in &seen {
+                    prop_assert_eq!(
+                        part.get(id).map(|w| w.id),
+                        (owner == s).then_some(id),
+                        "shard {} looking up {:?}",
+                        s,
+                        id
+                    );
+                }
+            }
             // Sizes are balanced within one worker.
             let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());

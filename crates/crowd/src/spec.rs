@@ -27,6 +27,7 @@
 //! ```
 
 use cdas_core::economics::CostModel;
+use cdas_core::types::WorkerId;
 use cdas_core::{CdasError, Result};
 
 use crate::arrival::LatencyModel;
@@ -165,9 +166,10 @@ impl CrowdSpec {
         )
     }
 
-    /// Build a fresh lease ledger over this crowd's full roster.
+    /// Build a fresh lease ledger over this crowd's full roster, the ids `0..size`
+    /// [`WorkerPool::generate`] numbers its workers with.
     pub fn build_ledger(&self) -> PoolLedger {
-        PoolLedger::from_pool(&self.build_pool())
+        PoolLedger::new((0..self.config.size as u64).map(WorkerId))
     }
 
     /// Check that the simulator can sample this crowd: every number in it is finite,

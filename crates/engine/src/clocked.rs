@@ -24,7 +24,7 @@
 //! poll per HIT and never moves the clock: [`CrowdsourcingEngine::collect_batch`] and
 //! `ExecutionMode::EndOfTime` runs are this collector over such a view of the platform.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cdas_core::accuracy::AccuracyRegistry;
 use cdas_core::online::OnlineProcessor;
@@ -80,7 +80,8 @@ impl<P: CrowdPlatform> CrowdPlatform for EndOfTime<'_, P> {
 /// The outcome of one clocked batch: the ordinary [`HitOutcome`] plus its temporal facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClockedOutcome {
-    /// The verdicts, registry and cost, exactly as [`HitOutcome`] reports them. The cost
+    /// The verdicts, registry and cost, exactly as [`HitOutcome`] reports them: the
+    /// registry holds only the estimates of the batch's answering workers. The cost
     /// equals what the platform charged for the delivered answers — a cancelled HIT is
     /// genuinely cheaper here, not merely re-priced.
     pub outcome: HitOutcome,
@@ -564,30 +565,39 @@ impl ClockedCollector {
         Ok((verdict, votes.len()))
     }
 
-    /// The registry and mean estimate verification runs with: the fleet snapshot when
-    /// sharing, else the configured registry or the local gold estimates.
+    /// The registry and mean estimate verification runs with. The registry holds the
+    /// estimates of this batch's answering workers only, the entries offline
+    /// verification reads: from the fleet registry when sharing, else from the
+    /// configured registry or the local gold estimates. The mean comes from the batch's
+    /// gold answers; without them it is the mean of the whole fleet or configured
+    /// registry, read in place.
     fn final_registry(&self, cache: Option<&AccuracyCache>) -> (AccuracyRegistry, Option<f64>) {
+        let voters: BTreeSet<WorkerId> = self.votes.values().flatten().map(|a| a.worker).collect();
+        let default = self.config.default_worker_accuracy;
         let local_mean = self.estimator.stats().ok().map(|s| s.mean);
         match (cache, &self.config.accuracy_source) {
             (Some(cache), _) => {
-                let registry = cache
-                    .snapshot()
-                    .with_default_accuracy(self.config.default_worker_accuracy);
-                let mean = local_mean.or_else(|| registry.mean_accuracy());
+                let registry = cache.subset(voters).with_default_accuracy(default);
+                let shared = cache.shared();
+                // An empty fleet registry has no mean: fall back to the configured
+                // default, as the mean of a registry holding only that default does.
+                let mean = local_mean.or_else(|| {
+                    if shared.is_empty() {
+                        registry.default_accuracy()
+                    } else {
+                        shared.mean_accuracy()
+                    }
+                });
                 (registry, mean)
             }
-            (None, AccuracySource::Registry(r)) => {
-                let mean = r.mean_accuracy();
-                (
-                    r.clone()
-                        .with_default_accuracy(self.config.default_worker_accuracy),
-                    mean,
-                )
-            }
+            (None, AccuracySource::Registry(r)) => (
+                r.subset(voters).with_default_accuracy(default),
+                r.mean_accuracy(),
+            ),
             (None, AccuracySource::GoldSampling) => (
                 self.local_registry
-                    .clone()
-                    .with_default_accuracy(self.config.default_worker_accuracy),
+                    .subset(voters)
+                    .with_default_accuracy(default),
                 local_mean,
             ),
         }
@@ -821,6 +831,70 @@ mod tests {
             .unwrap();
         assert!(!out.outcome.registry.is_empty());
         assert!(out.outcome.registry.iter().all(|(_, e)| e.samples > 0));
+    }
+
+    #[test]
+    fn a_gold_free_cached_batch_keeps_its_voters_and_the_fleet_mean() {
+        use cdas_core::sharing::SharedAccuracyRegistry;
+
+        let e = engine(None);
+        let pool = WorkerPool::generate(&PoolConfig {
+            latency: LatencyModel::Exponential { mean: 5.0 },
+            ..PoolConfig::clean(20, 0.8, 3)
+        });
+        let mut p = SimulatedPlatform::new(pool, CostModel::default(), 3);
+        let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
+        let mut clock = SimClock::new();
+
+        // With nothing learned yet, a gold-free batch has no mean to fall back on but
+        // the configured default.
+        let ticket = e.publish_batch(&mut p, batch(4, 0)).unwrap();
+        let out = e
+            .collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .unwrap();
+        assert!(cache.shared().is_empty());
+        assert!(out.outcome.registry.is_empty());
+        assert_eq!(
+            out.outcome.estimated_mean_accuracy,
+            Some(e.config().default_worker_accuracy)
+        );
+
+        let ticket = e.publish_batch(&mut p, batch(6, 3)).unwrap();
+        e.collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .unwrap();
+
+        let ticket = e.publish_batch(&mut p, batch(6, 0)).unwrap();
+        let hit = ticket.hit;
+        let mut collector = e.begin_clocked(ticket, clock.now());
+        let answers = p.poll(hit, f64::INFINITY);
+        collector
+            .ingest(&answers, clock.now(), Some(&cache))
+            .unwrap();
+        let out = collector
+            .finalize(clock.now(), None, Some(&cache))
+            .unwrap()
+            .outcome;
+
+        let voters: BTreeSet<WorkerId> = answers.iter().map(|a| a.worker).collect();
+        let snapshot = cache.shared().snapshot();
+        let bits = |(w, a): (&WorkerId, &cdas_core::accuracy::WorkerAccuracy)| {
+            (*w, a.accuracy.to_bits(), a.log_odds.to_bits(), a.samples)
+        };
+        let expected: Vec<_> = snapshot
+            .iter()
+            .filter(|(w, _)| voters.contains(w))
+            .map(bits)
+            .collect();
+        assert!(!expected.is_empty(), "some voters were estimated before");
+        assert!(
+            expected.len() < snapshot.len(),
+            "some estimates are not voters'"
+        );
+        assert_eq!(out.registry.iter().map(bits).collect::<Vec<_>>(), expected);
+        assert_eq!(
+            out.estimated_mean_accuracy.map(f64::to_bits),
+            snapshot.mean_accuracy().map(f64::to_bits)
+        );
     }
 
     #[test]

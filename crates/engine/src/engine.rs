@@ -187,7 +187,8 @@ pub struct HitOutcome {
     pub workers_assigned: usize,
     /// The mean worker accuracy estimated from gold questions (when sampling was used).
     pub estimated_mean_accuracy: Option<f64>,
-    /// The per-worker accuracy registry the verification used.
+    /// The accuracy estimates the verification used: those of the workers whose answers
+    /// the batch ingested, with the configured default accuracy for anyone else.
     pub registry: AccuracyRegistry,
     /// Dollars charged by the platform for this HIT.
     pub cost: f64,
@@ -370,6 +371,42 @@ mod tests {
         SimulatedPlatform::new(pool, CostModel::default(), seed)
     }
 
+    /// The workers who answer `questions` when `engine` publishes them as the first HIT
+    /// of a platform over `pool` seeded `seed`, read off an identical twin platform.
+    fn answering_workers(
+        engine: &CrowdsourcingEngine,
+        pool: &WorkerPool,
+        seed: u64,
+        questions: Vec<CrowdQuestion>,
+    ) -> Vec<WorkerId> {
+        let mut twin = SimulatedPlatform::new(pool.clone(), CostModel::default(), seed);
+        let ticket = engine.publish_batch(&mut twin, questions).unwrap();
+        let mut workers: Vec<WorkerId> = twin
+            .poll(ticket.hit, f64::INFINITY)
+            .iter()
+            .map(|a| a.worker)
+            .collect();
+        workers.sort_unstable();
+        workers.dedup();
+        workers
+    }
+
+    /// `registry` holds exactly the estimates of `workers`, each the oracle's injected
+    /// estimate bit for bit.
+    fn assert_oracle_entries_of(
+        registry: &AccuracyRegistry,
+        workers: &[WorkerId],
+        oracle: &AccuracyRegistry,
+    ) {
+        let listed: Vec<WorkerId> = registry.iter().map(|(w, _)| *w).collect();
+        assert_eq!(listed, workers, "only the answering workers are kept");
+        for (w, entry) in registry.iter() {
+            let truth = oracle.get(*w).unwrap();
+            assert_eq!(entry.accuracy.to_bits(), truth.accuracy.to_bits());
+            assert_eq!(entry.samples, 0);
+        }
+    }
+
     #[test]
     fn decide_workers_fixed_and_predicted() {
         let fixed = CrowdsourcingEngine::new(EngineConfig {
@@ -502,13 +539,15 @@ mod tests {
         let oracle = pool.oracle_registry(&reference);
         let engine = CrowdsourcingEngine::new(EngineConfig {
             workers: WorkerCountPolicy::Fixed(7),
-            accuracy_source: AccuracySource::Registry(oracle),
+            accuracy_source: AccuracySource::Registry(oracle.clone()),
             ..EngineConfig::default()
         });
+        let voters = answering_workers(&engine, &pool, 23, batch(10, 0));
+        assert_eq!(voters.len(), 7);
         let mut p = SimulatedPlatform::new(pool, CostModel::default(), 23);
         let outcome = engine.run_hit(&mut p, batch(10, 0)).unwrap();
-        assert_eq!(outcome.registry.len(), 40);
-        assert!(outcome.estimated_mean_accuracy.is_some());
+        assert_oracle_entries_of(&outcome.registry, &voters, &oracle);
+        assert_eq!(outcome.estimated_mean_accuracy, oracle.mean_accuracy());
     }
 
     #[test]
@@ -603,9 +642,11 @@ mod tests {
         let oracle = pool.oracle_registry(&sentiment_question(0, false));
         let engine = CrowdsourcingEngine::new(EngineConfig {
             workers: WorkerCountPolicy::Fixed(5),
-            accuracy_source: AccuracySource::Registry(oracle),
+            accuracy_source: AccuracySource::Registry(oracle.clone()),
             ..EngineConfig::default()
         });
+        let voters = answering_workers(&engine, &pool, 51, batch(6, 0));
+        assert_eq!(voters.len(), 5);
         let mut p = SimulatedPlatform::new(pool, CostModel::default(), 51);
         let cache = AccuracyCache::new(SharedAccuracyRegistry::new());
         // A gold-free batch: without the configured registry there would be nothing to
@@ -620,7 +661,7 @@ mod tests {
             30,
             "the oracle registry seeded the fleet registry"
         );
-        assert_eq!(outcome.registry.len(), 30);
+        assert_oracle_entries_of(&outcome.registry, &voters, &oracle);
     }
 
     #[test]

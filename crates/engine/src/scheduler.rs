@@ -247,7 +247,8 @@ pub struct BatchCommit {
     pub hit: HitId,
     /// The batch's range within the job's question list.
     pub range: std::ops::Range<usize>,
-    /// The engine outcome being committed (verdicts, cost, registry contributions).
+    /// The engine outcome being committed: verdicts, cost, and the accuracy estimates
+    /// of the batch's answering workers.
     pub outcome: HitOutcome,
     /// Simulated completion time (0.0 in end-of-time runs).
     pub completed_at: f64,

@@ -305,25 +305,29 @@ fn a_segment_in_the_old_format_is_corrupt() {
     journaled(&dir, JournalConfig::default())
         .run(ExecutionMode::Clocked)
         .unwrap();
-    // Stamp the previous format's magic over the segment header: its records would
-    // decode as something else, so the whole segment must be refused.
+    // Stamp an earlier format's magic over the segment header: its records would
+    // decode as something else, or digest commits differently, so the whole segment
+    // must be refused.
     let segment = dir.join("segment-000000.wal");
-    let mut bytes = std::fs::read(&segment).unwrap();
-    assert_eq!(bytes.get(..8), Some(b"CDASWAL2".as_slice()));
-    bytes.splice(..8, *b"CDASWAL1");
-    std::fs::write(&segment, bytes).unwrap();
-    for result in [
-        Journal::read(&dir).map(|_| ()),
-        Fleet::recover(&dir).map(|_| ()),
-    ] {
-        match result {
-            Err(CdasError::JournalCorrupt {
-                segment, detail, ..
-            }) => {
-                assert!(segment.contains("segment-000000"), "{segment}");
-                assert!(detail.contains("magic"), "{detail}");
+    let current = std::fs::read(&segment).unwrap();
+    assert_eq!(current.get(..8), Some(b"CDASWAL3".as_slice()));
+    for old_magic in [*b"CDASWAL1", *b"CDASWAL2"] {
+        let mut bytes = current.clone();
+        bytes.splice(..8, old_magic);
+        std::fs::write(&segment, bytes).unwrap();
+        for result in [
+            Journal::read(&dir).map(|_| ()),
+            Fleet::recover(&dir).map(|_| ()),
+        ] {
+            match result {
+                Err(CdasError::JournalCorrupt {
+                    segment, detail, ..
+                }) => {
+                    assert!(segment.contains("segment-000000"), "{segment}");
+                    assert!(detail.contains("magic"), "{detail}");
+                }
+                other => panic!("expected JournalCorrupt, got {other:?}"),
             }
-            other => panic!("expected JournalCorrupt, got {other:?}"),
         }
     }
 }
