@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{CrowdsourcingEngine, EngineConfig, VerificationStrategy, WorkerCountPolicy};
 use crate::job_manager::{AnalyticsJob, JobKind, ProcessingPlan};
-use crate::journal::recovery::{JournalReplay, JournalSink, RecoveryObserver};
+use crate::journal::recovery::{JournalReplay, RecoveryObserver};
 use crate::journal::{Journal, JournalConfig, JournalRecord, RecoveryReport, RunConfig};
 use crate::metrics::FleetReport;
 use crate::scheduler::{
@@ -645,10 +645,12 @@ impl Fleet {
     /// (host wall-clock aside; compare via [`FleetReport::ignoring_wall_clock`]).
     ///
     /// With [`FleetBuilder::journal`] set, the run is write-ahead journaled: the
-    /// resolved [`RunConfig`] is persisted before anything dispatches, every dispatch /
-    /// charge / batch commit is appended as it happens, and the event stream plus a
-    /// `RunCompleted` trailer land after the run. [`Fleet::recover`] turns that journal
-    /// back into a finished run after a crash.
+    /// resolved [`RunConfig`] is persisted as the head record before anything
+    /// dispatches, and the run is then driven exactly like [`Fleet::recover`] of a
+    /// journal holding only that record — a [`RecoveryObserver`] over an empty prefix
+    /// appends every dispatch / charge / batch commit as it happens, and the event
+    /// stream plus a `RunCompleted` trailer after the run. [`Fleet::recover`] turns
+    /// that journal back into a finished run after a crash.
     pub fn run(&self, mode: ExecutionMode) -> Result<FleetRun> {
         self.run_with_failpoints(mode, FleetFailpoints::none())
     }
@@ -660,40 +662,23 @@ impl Fleet {
     /// a real crash. Journal appends are buffered, but the journal handle's `Drop`
     /// hands the buffer to the OS while the panic unwinds, so everything appended
     /// before the panic survives it.
+    ///
+    /// A journaled run goes through the driver [`Fleet::recover`] uses, and the
+    /// [`RecoveryReport`] it returns is dropped: a fresh run recovers nothing.
     pub fn run_with_failpoints(
         &self,
         mode: ExecutionMode,
         failpoints: FleetFailpoints,
     ) -> Result<FleetRun> {
-        let sink = match &self.journal {
-            None => None,
-            Some(dir) => {
-                let mut journal = Journal::create(dir, self.journal_config.clone())?;
-                journal.append(&JournalRecord::RunStarted(self.run_config(mode)?))?;
-                Some(Arc::new(JournalSink::new(journal)))
-            }
+        let Some(dir) = &self.journal else {
+            return self.execute(mode, &failpoints, None);
         };
-        let observer = sink.clone().map(|sink| sink as Arc<dyn RunObserver>);
-        let (report, platform_cost, events) = self.execute(mode, &failpoints, observer)?;
-        if let Some(sink) = sink {
-            for event in &events {
-                sink.append(&JournalRecord::Event(event.clone()));
-            }
-            sink.append(&JournalRecord::RunCompleted {
-                cost: report.fleet.cost,
-                questions: report.fleet.questions,
-                makespan: report.makespan,
-            });
-            sink.sync();
-            if let Some(failure) = sink.take_failure() {
-                return Err(failure);
-            }
-        }
-        Ok(FleetRun {
-            report,
-            events,
-            platform_cost,
-        })
+        let config = self.run_config(mode)?;
+        let mut journal = Journal::create(dir, self.journal_config.clone())?;
+        journal.append(&JournalRecord::RunStarted(config.clone()))?;
+        let observer = RecoveryObserver::new(journal, JournalReplay::empty(config, false));
+        let (run, _) = self.run_journaled(mode, &failpoints, observer)?;
+        Ok(run)
     }
 
     /// The fully-resolved configuration a run under `mode` executes — the pure-function
@@ -749,7 +734,9 @@ impl Fleet {
     /// except the tail with [`CdasError::JournalCorrupt`]. The returned [`FleetRun`] is
     /// bit-identical (wall clock aside) to the run the crash interrupted, and the
     /// journal is left complete — recovering again is a no-op resume
-    /// ([`RecoveryReport::was_complete`]).
+    /// ([`RecoveryReport::was_complete`]). A fresh journaled [`run`](Self::run) goes
+    /// through the same driver over an empty prefix, so a run killed right after its
+    /// head record recovers to the journal an uninterrupted run writes.
     pub fn recover(dir: impl AsRef<Path>) -> Result<(FleetRun, RecoveryReport)> {
         Self::recover_with_config(dir, JournalConfig::default())
     }
@@ -764,29 +751,37 @@ impl Fleet {
     ) -> Result<(FleetRun, RecoveryReport)> {
         let (journal, contents) = Journal::open_append(&dir, config)?;
         let replay = JournalReplay::assemble(&contents)?;
-        let run_config = replay.config.clone();
-        let mode = run_config.mode;
-        let fleet = Fleet::from_run_config(run_config)?;
-        let observer = Arc::new(RecoveryObserver::new(journal, replay));
-        let (report, platform_cost, events) = fleet.execute(
+        let mode = replay.config.mode;
+        let fleet = Fleet::from_run_config(replay.config.clone())?;
+        fleet.run_journaled(
             mode,
             &FleetFailpoints::none(),
+            RecoveryObserver::new(journal, replay),
+        )
+    }
+
+    /// The one driver of every journaled run, fresh or recovered: execute under `mode`
+    /// with `observer` attached, then [`RecoveryObserver::finish`] the journal.
+    fn run_journaled(
+        &self,
+        mode: ExecutionMode,
+        failpoints: &FleetFailpoints,
+        observer: RecoveryObserver,
+    ) -> Result<(FleetRun, RecoveryReport)> {
+        let observer = Arc::new(observer);
+        let run = self.execute(
+            mode,
+            failpoints,
             Some(Arc::clone(&observer) as Arc<dyn RunObserver>),
         )?;
+        let report = run.report();
         let recovery = observer.finish(
-            &events,
+            run.events(),
             report.fleet.cost,
             report.fleet.questions,
             report.makespan,
         )?;
-        Ok((
-            FleetRun {
-                report,
-                events,
-                platform_cost,
-            },
-            recovery,
-        ))
+        Ok((run, recovery))
     }
 
     fn resolved_jobs(&self) -> Result<Vec<ScheduledJob>> {
@@ -804,7 +799,7 @@ impl Fleet {
         mode: ExecutionMode,
         failpoints: &FleetFailpoints,
         observer: Option<Arc<dyn RunObserver>>,
-    ) -> Result<(FleetReport, f64, Vec<FleetEvent>)> {
+    ) -> Result<FleetRun> {
         let mut scheduler = JobScheduler::new(self.scheduler, self.crowd.build_ledger());
         for job in self.resolved_jobs()? {
             scheduler.submit(job);
@@ -849,7 +844,11 @@ impl Fleet {
             }
         };
         let events = stream_events(&report, &scheduler);
-        Ok((report, platform_cost, events))
+        Ok(FleetRun {
+            report,
+            events,
+            platform_cost,
+        })
     }
 
     /// [`run`](Self::run) under [`ExecutionMode::Parallel`] with the builder's default

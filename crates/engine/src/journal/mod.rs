@@ -2,8 +2,8 @@
 //!
 //! The fleet's ordered event stream becomes a log-structured source of truth in the
 //! spirit of LogBase's WAL-as-data design: while a run executes, every dispatch, per-poll
-//! charge, and batch commit (as a [`CommitDigest`]) is appended to an on-disk journal
-//! (via the scheduler's [`crate::scheduler::RunObserver`] hook), framed as
+//! charge, and batch commit (as a [`CommitDigest`]) is appended to an on-disk journal,
+//! framed as
 //!
 //! ```text
 //! segment-000000.wal             segment-000001.wal
@@ -25,7 +25,11 @@
 //!
 //! Recovery ([`crate::fleet::Fleet::recover`]) reads the journal back, rebuilds the run
 //! configuration from the head record, and re-executes the run deterministically while
-//! cross-checking (and completing) the journaled prefix — see [`recovery`].
+//! cross-checking (and completing) the journaled prefix — see [`recovery`]. A run journal
+//! has one writer: past the head record, every record of a fresh run and of a resumed
+//! one is appended by [`recovery::RecoveryObserver`] (the scheduler's
+//! [`crate::scheduler::RunObserver`] hook), because a fresh run is the recovery of a
+//! journal holding only its head record.
 //!
 //! A record whose frame is cut short **at the end of the final segment** is a *torn
 //! tail*: the expected wreckage of a crash mid-write, silently dropped (and reported via
@@ -133,19 +137,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// When the journal forces its writes to stable storage.
+/// When the journal forces its writes to stable storage. Only commit-class records
+/// (`RunStarted`, `Commit`, `RunCompleted` and the service manifest's records) trigger
+/// an fsync; the chatty dispatch, charge and event records ride along with the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// Never fsync explicitly (fastest; a crash may lose the OS-buffered suffix, which
-    /// recovery treats as a torn tail).
-    Never,
-    /// Fsync after commit-class records (`RunStarted`, `Commit`, `RunCompleted`) — the
-    /// default: a committed batch is never re-paid, while the chatty dispatch/charge
-    /// records ride along with the next commit's sync.
+    /// Fsync after every commit-class record — the default: a committed batch is never
+    /// re-paid.
     #[default]
     Commits,
-    /// Fsync after every record (slowest, smallest possible torn tail).
-    Always,
     /// Group commit in the LogBase style: commit-class records are batched and one
     /// fsync covers the whole group. The sync fires once `max_batch` commit-class
     /// records are pending, or once `max_delay_ms` of wall-clock time has passed since
@@ -367,6 +367,44 @@ fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
     })
 }
 
+/// Where a re-opened journal resumes: its final segment.
+struct Tail {
+    index: u64,
+    path: PathBuf,
+    /// Byte offset just past the segment's last intact frame.
+    valid_end: u64,
+}
+
+/// Scan every segment in `dir` in index order — the one read path of [`Journal::read`]
+/// and [`Journal::open_append`]. Returns the contents and, unless `dir` holds no
+/// segment, the [`Tail`].
+fn scan_dir(dir: &Path) -> Result<(JournalContents, Option<Tail>)> {
+    let segments = list_segments(dir)?;
+    let count = segments.len();
+    let mut records = Vec::new();
+    let mut torn_tail = false;
+    let mut tail = None;
+    for (i, (index, path)) in segments.into_iter().enumerate() {
+        let is_last = i + 1 == count;
+        let scan = scan_segment(&path, is_last)?;
+        records.extend(scan.records);
+        if is_last {
+            torn_tail = scan.torn;
+            tail = Some(Tail {
+                index,
+                path,
+                valid_end: scan.valid_end,
+            });
+        }
+    }
+    let contents = JournalContents {
+        records,
+        torn_tail,
+        segments: count,
+    };
+    Ok((contents, tail))
+}
+
 impl Journal {
     /// Create a fresh journal in `dir` (creating the directory, deleting any previous
     /// run's segments) and open segment 0 for appending.
@@ -402,42 +440,23 @@ impl Journal {
         config: JournalConfig,
     ) -> Result<(Self, JournalContents)> {
         let dir = dir.as_ref().to_path_buf();
-        let segments = list_segments(&dir)?;
-        let Some(&(last_index, ref last_path)) = segments.last() else {
-            let journal = Journal::create(&dir, config)?;
-            let contents = JournalContents {
-                records: Vec::new(),
-                torn_tail: false,
-                segments: 0,
-            };
-            return Ok((journal, contents));
+        let (contents, tail) = scan_dir(&dir)?;
+        let Some(tail) = tail else {
+            return Ok((Journal::create(&dir, config)?, contents));
         };
-        let mut records = Vec::new();
-        let mut torn_tail = false;
-        let mut last_valid_end = 0u64;
-        let count = segments.len();
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let is_last = i + 1 == count;
-            let scan = scan_segment(path, is_last)?;
-            records.extend(scan.records);
-            if is_last {
-                torn_tail = scan.torn;
-                last_valid_end = scan.valid_end;
-            }
-        }
         let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(last_path)
-            .map_err(|e| io_err(last_path, e))?;
-        file.set_len(last_valid_end.max(SEGMENT_HEADER_LEN))
-            .map_err(|e| io_err(last_path, e))?;
+            .open(&tail.path)
+            .map_err(|e| io_err(&tail.path, e))?;
+        file.set_len(tail.valid_end.max(SEGMENT_HEADER_LEN))
+            .map_err(|e| io_err(&tail.path, e))?;
         let mut journal = Journal {
             dir,
             config,
-            segment_index: last_index,
+            segment_index: tail.index,
             file: Some(file),
-            segment_bytes: last_valid_end.max(SEGMENT_HEADER_LEN),
+            segment_bytes: tail.valid_end.max(SEGMENT_HEADER_LEN),
             written_total: 0,
             buffer: Vec::new(),
             scratch: Vec::new(),
@@ -445,7 +464,7 @@ impl Journal {
             pending_since: None,
             syncs_performed: 0,
         };
-        if last_valid_end < SEGMENT_HEADER_LEN {
+        if tail.valid_end < SEGMENT_HEADER_LEN {
             // The torn final segment did not even finish its header: rewrite it.
             journal.segment_bytes = 0;
             journal.write_header()?;
@@ -453,34 +472,13 @@ impl Journal {
             file.seek(SeekFrom::End(0))
                 .map_err(|e| io_err(&journal.dir, e))?;
         }
-        let contents = JournalContents {
-            records,
-            torn_tail,
-            segments: count,
-        };
         Ok((journal, contents))
     }
 
     /// Read every record of the journal in `dir` without opening it for writes,
     /// tolerating (and flagging) a torn tail on the final segment.
     pub fn read(dir: impl AsRef<Path>) -> Result<JournalContents> {
-        let dir = dir.as_ref();
-        let segments = list_segments(dir)?;
-        let mut records = Vec::new();
-        let mut torn_tail = false;
-        let count = segments.len();
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let scan = scan_segment(path, i + 1 == count)?;
-            records.extend(scan.records);
-            if i + 1 == count {
-                torn_tail = scan.torn;
-            }
-        }
-        Ok(JournalContents {
-            records,
-            torn_tail,
-            segments: count,
-        })
+        scan_dir(dir.as_ref()).map(|(contents, _)| contents)
     }
 
     /// Append one record, rotating segments as configured and fsyncing according to the
@@ -514,13 +512,15 @@ impl Journal {
         if self.buffer.len() >= BUFFER_FLUSH_BYTES {
             self.flush_buffer()?;
         }
+        if !commit_class {
+            return Ok(());
+        }
         match self.config.sync {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::Commits if commit_class => self.sync()?,
+            SyncPolicy::Commits => self.sync()?,
             SyncPolicy::GroupCommit {
                 max_batch,
                 max_delay_ms,
-            } if commit_class => {
+            } => {
                 self.pending_commits += 1;
                 // cdas-allow(determinism): fsync pacing only, never feeds simulated state
                 let now = std::time::Instant::now();
@@ -534,7 +534,6 @@ impl Journal {
                     self.sync()?;
                 }
             }
-            _ => {}
         }
         Ok(())
     }
@@ -558,7 +557,7 @@ impl Journal {
     }
 
     /// Commit-class records appended since the last fsync (the open group-commit
-    /// batch; always `0` under the non-batching policies, which sync inline).
+    /// batch; always `0` under [`SyncPolicy::Commits`], which syncs inline).
     pub fn pending_commits(&self) -> usize {
         self.pending_commits
     }

@@ -676,9 +676,7 @@ impl BinCodec for CommitDigest {
 impl BinCodec for SyncPolicy {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            SyncPolicy::Never => out.push(0),
             SyncPolicy::Commits => out.push(1),
-            SyncPolicy::Always => out.push(2),
             SyncPolicy::GroupCommit {
                 max_batch,
                 max_delay_ms,
@@ -691,10 +689,10 @@ impl BinCodec for SyncPolicy {
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
+        // Tags 0 and 2 belonged to two retired policies (never fsync, fsync every
+        // record) that no caller selected; they decode as invalid.
         match u8::decode(input)? {
-            0 => Ok(SyncPolicy::Never),
             1 => Ok(SyncPolicy::Commits),
-            2 => Ok(SyncPolicy::Always),
             3 => Ok(SyncPolicy::GroupCommit {
                 max_batch: usize::decode(input)?,
                 max_delay_ms: u64::decode(input)?,
@@ -1131,15 +1129,19 @@ mod tests {
     #[test]
     fn service_records_round_trip() {
         for policy in [
-            SyncPolicy::Never,
             SyncPolicy::Commits,
-            SyncPolicy::Always,
             SyncPolicy::GroupCommit {
                 max_batch: 8,
                 max_delay_ms: 50,
             },
         ] {
             round_trip(policy);
+        }
+        for retired in [0u8, 2] {
+            assert!(
+                SyncPolicy::from_bytes(&[retired]).is_err(),
+                "SyncPolicy tag {retired} must not decode"
+            );
         }
         round_trip(JournalConfig {
             max_segment_bytes: 4096,

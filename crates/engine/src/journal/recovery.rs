@@ -1,5 +1,5 @@
-//! Crash recovery: deterministic re-execution cross-checked against the journaled
-//! history.
+//! The run-journal writer, and crash recovery as deterministic re-execution
+//! cross-checked against the journaled history.
 //!
 //! A fleet run is a pure function of its [`RunConfig`] (up to wall clock), so the
 //! journal does not need to checkpoint live scheduler state: [`crate::fleet::Fleet::recover`]
@@ -20,6 +20,12 @@
 //! Matching is keyed per job (and per `(job, seq)` for commits) because parallel runs
 //! interleave shards nondeterministically while every job's own record order stays
 //! deterministic.
+//!
+//! [`RecoveryObserver`] is the only writer of a run journal after its head record. A
+//! fresh journaled run ([`crate::fleet::Fleet::run`]) is the recovery of a journal that
+//! holds nothing but its `RunStarted` record: its prefix is empty, so every record the
+//! run produces is resumed work, appended as it happens, and
+//! [`RecoveryObserver::finish`] appends the event stream and the `RunCompleted` trailer.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -180,7 +186,8 @@ impl JournalReplay {
         replay.ok_or(CdasError::JournalEmpty)
     }
 
-    fn empty(config: RunConfig, torn_tail: bool) -> Self {
+    /// The replay of a journal holding only the head record for `config`.
+    pub(crate) fn empty(config: RunConfig, torn_tail: bool) -> Self {
         let jobs = config.jobs.len();
         JournalReplay {
             config,
@@ -227,8 +234,10 @@ impl RecoveryState {
     }
 }
 
-/// The [`RunObserver`] that performs recovery: matches the re-execution's records
-/// against the journaled prefix and appends only the missing suffix.
+/// The [`RunObserver`] that writes every run journal past its head record: matches
+/// the run's records against the journaled prefix and appends only the missing
+/// suffix. An I/O error mid-run is captured and reported by [`finish`](Self::finish),
+/// since observers cannot propagate errors through the scheduler hot path.
 pub struct RecoveryObserver {
     state: Mutex<RecoveryState>,
 }
@@ -245,7 +254,8 @@ impl RecoveryObserver {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Build the observer over a re-opened journal and the assembled replay state.
+    /// Build the observer over a journal positioned at its end and the replay of what
+    /// it already holds.
     pub fn new(journal: Journal, replay: JournalReplay) -> Self {
         RecoveryObserver {
             state: Mutex::new(RecoveryState {
@@ -266,9 +276,9 @@ impl RecoveryObserver {
         }
     }
 
-    /// Finish recovery after the re-execution completed: verify no journaled record was
-    /// left unconsumed, reconcile the event stream (append only the missing suffix), and
-    /// append the `RunCompleted` trailer when the journal lacked one.
+    /// Finish the run after its execution completed: verify no journaled record was
+    /// left unconsumed, reconcile the event stream (append only the missing suffix),
+    /// append the `RunCompleted` trailer when the journal lacked one, and sync.
     pub fn finish(
         &self,
         events: &[FleetEvent],
@@ -418,83 +428,5 @@ impl RunObserver for RecoveryObserver {
                 state.resumed_cost += commit.outcome.cost;
             }
         }
-    }
-}
-
-/// The [`RunObserver`] a live journaled run attaches: a straight append sink with
-/// failure capture (an I/O error mid-run is reported when the run finishes — observers
-/// cannot propagate errors through the scheduler hot path).
-pub struct JournalSink {
-    journal: Mutex<Journal>,
-    failure: Mutex<Option<CdasError>>,
-}
-
-impl JournalSink {
-    /// Wrap a journal.
-    pub fn new(journal: Journal) -> Self {
-        JournalSink {
-            journal: Mutex::new(journal),
-            failure: Mutex::new(None),
-        }
-    }
-
-    /// Lock one of the sink's mutexes, recovering from poisoning: both
-    /// critical sections are a single optional-slot write or one journal
-    /// call, so a panic mid-section cannot tear an invariant.
-    fn relock<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        lock.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Append a record, capturing (rather than propagating) any I/O error.
-    pub fn append(&self, record: &JournalRecord) {
-        // Holding `failure` across the append is deliberate: it serializes
-        // appends and guarantees the *first* failure wins the slot.
-        // cdas-allow(lock_discipline): failure guard intentionally spans the append so the first I/O error wins
-        let mut failure = Self::relock(&self.failure);
-        if failure.is_some() {
-            return;
-        }
-        let mut journal = Self::relock(&self.journal);
-        if let Err(e) = journal.append(record) {
-            *failure = Some(e);
-        }
-    }
-
-    /// Fsync the journal, capturing any error.
-    pub fn sync(&self) {
-        // cdas-allow(lock_discipline): failure guard intentionally spans the fsync so the first I/O error wins
-        let mut failure = Self::relock(&self.failure);
-        if failure.is_some() {
-            return;
-        }
-        let mut journal = Self::relock(&self.journal);
-        if let Err(e) = journal.sync() {
-            *failure = Some(e);
-        }
-    }
-
-    /// The first I/O error captured, if any (the run's result surfaces it).
-    pub fn take_failure(&self) -> Option<CdasError> {
-        Self::relock(&self.failure).take()
-    }
-}
-
-impl RunObserver for JournalSink {
-    fn on_dispatch(&self, dispatch: &DispatchRecord) {
-        self.append(&JournalRecord::Dispatch(dispatch.clone()));
-    }
-
-    fn on_charge(&self, job: JobId, hit: HitId, amount: f64, at: f64) {
-        self.append(&JournalRecord::Charge {
-            job,
-            hit,
-            amount,
-            at,
-        });
-    }
-
-    fn on_commit(&self, commit: &BatchCommit) {
-        self.append(&JournalRecord::Commit(CommitDigest::of(commit)));
     }
 }

@@ -707,9 +707,11 @@ impl FleetService {
     /// is resumed to completion; an epoch whose run journal never got its head
     /// record (the crash landed between `ServiceEpochStarted` and the fleet's
     /// `RunStarted`) is re-run from scratch, which is safe because nothing of it was
-    /// ever dispatched or paid. Submissions that reached no epoch come back as
-    /// [`ServiceRecovery::pending`] and the returned service is live: keep
-    /// submitting, keep running epochs, then [`shutdown`](Self::shutdown).
+    /// ever dispatched or paid. A run journal that exists but cannot be read fails
+    /// recovery with its error and is left on disk as it was. Submissions that
+    /// reached no epoch come back as [`ServiceRecovery::pending`] and the returned
+    /// service is live: keep submitting, keep running epochs, then
+    /// [`shutdown`](Self::shutdown).
     pub fn recover(dir: impl Into<PathBuf>) -> Result<(Self, ServiceRecovery)> {
         let dir = dir.into();
         let (manifest, contents) =
@@ -772,6 +774,10 @@ impl FleetService {
     /// Recover one journaled epoch: resume its run journal if it has one, re-run it
     /// from scratch if the crash predates the journal's head record, and cross-check
     /// the result against the manifest's completion record if one landed.
+    ///
+    /// Only an epoch whose run journal is empty (no head record) or whose directory
+    /// does not exist is re-run: any other error — an unreadable segment above all —
+    /// is returned as is, because re-running would wipe a journal of paid work.
     fn recover_epoch(
         &mut self,
         epoch: u64,
@@ -780,10 +786,15 @@ impl FleetService {
         journaled_completion: Option<(f64, usize, f64)>,
     ) -> Result<Option<RecoveryReport>> {
         let dir = epoch_dir(&self.dir, epoch);
+        let predates_journal = |e: &CdasError| match e {
+            CdasError::JournalEmpty => true,
+            CdasError::JournalIo { .. } => matches!(dir.try_exists(), Ok(false)),
+            _ => false,
+        };
         let (run, run_recovery) =
             match Fleet::recover_with_config(&dir, self.config.run_journal.clone()) {
                 Ok((run, recovery)) => (run, Some(recovery)),
-                Err(CdasError::JournalEmpty) | Err(CdasError::JournalIo { .. }) => {
+                Err(e) if predates_journal(&e) => {
                     let shards = match mode {
                         ExecutionMode::Parallel { shards } => shards,
                         _ => 1,

@@ -80,13 +80,23 @@ fn assert_equals_baseline(run: &FleetRun, expected: &FleetRun, context: &str) {
     );
 }
 
+/// The segment files of a journal, by name, with their bytes.
+fn segment_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.path().extension().is_some_and(|e| e == "wal"))
+        .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
 /// Total on-disk size of the journal's segments.
 fn journal_bytes(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .filter_map(|entry| entry.ok())
-        .filter(|entry| entry.path().extension().is_some_and(|e| e == "wal"))
-        .map(|entry| entry.metadata().unwrap().len())
+    segment_files(dir)
+        .iter()
+        .map(|(_, bytes)| bytes.len() as u64)
         .sum()
 }
 
@@ -133,6 +143,70 @@ fn journaled_runs_match_plain_runs_and_recovery_is_a_noop_resume() {
             (report.recovered_cost - expected.report().fleet.cost).abs() < 1e-12,
             "{mode:?}: every journaled dollar is accounted as recovered"
         );
+    }
+}
+
+/// A journal's encoded records grouped by job, in journal order within each group;
+/// records of no one job (head, events, trailer) share the `None` group.
+fn records_per_job(dir: &Path) -> std::collections::BTreeMap<Option<usize>, Vec<Vec<u8>>> {
+    let mut groups = std::collections::BTreeMap::<_, Vec<_>>::new();
+    for record in Journal::read(dir).unwrap().records {
+        let job = match &record {
+            JournalRecord::Dispatch(dispatch) => Some(dispatch.job.0),
+            JournalRecord::Charge { job, .. } => Some(job.0),
+            JournalRecord::Commit(commit) => Some(commit.job.0),
+            _ => None,
+        };
+        groups.entry(job).or_default().push(record.to_bytes());
+    }
+    groups
+}
+
+#[test]
+fn a_run_killed_after_its_head_record_recovers_to_the_fresh_runs_journal() {
+    // A fresh journaled run is the recovery of a journal holding only its head
+    // record, so killing the writer right after that record and recovering must
+    // write the journal an uninterrupted run writes.
+    for (i, mode) in MODES.iter().enumerate() {
+        let fresh = temp_dir(&format!("head-fresh-{i}"));
+        let expected = journaled(&fresh, JournalConfig::default())
+            .run(*mode)
+            .unwrap();
+        let head = head_bytes(*mode, &format!("head-probe-{i}"));
+        let dir = temp_dir(&format!("head-cut-{i}"));
+        journaled(
+            &dir,
+            JournalConfig {
+                fail_writes_after: Some(head),
+                ..JournalConfig::default()
+            },
+        )
+        .run(*mode)
+        .unwrap();
+        assert_eq!(
+            journal_bytes(&dir),
+            head,
+            "{mode:?}: only the head survived"
+        );
+
+        let (run, report) = Fleet::recover(&dir).unwrap();
+        assert_equals_baseline(&run, &expected, "recovery from the head record");
+        let hits = expected
+            .events()
+            .iter()
+            .filter(|e| matches!(e, FleetEvent::HitDispatched { .. }))
+            .count();
+        assert_eq!(report.recovered_hits, 0, "{mode:?}: nothing was journaled");
+        assert_eq!(report.resumed_hits, hits, "{mode:?}: every HIT is resumed");
+        if let ExecutionMode::Parallel { .. } = mode {
+            // Shard threads interleave their appends; each job's order is fixed.
+            assert_eq!(records_per_job(&dir), records_per_job(&fresh), "{mode:?}");
+        } else {
+            assert!(
+                segment_files(&dir) == segment_files(&fresh),
+                "{mode:?}: the recovered journal differs from the fresh run's"
+            );
+        }
     }
 }
 

@@ -21,6 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Once;
 
+use cdas::core::CdasError;
 use cdas::crowd::failpoint::FAILPOINT_PANIC;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
@@ -225,6 +226,45 @@ fn recovering_a_closed_service_is_a_clean_no_op_resume() {
         .iter()
         .all(|r| r.as_ref().is_some_and(|r| r.was_complete)));
     assert_eq!(recovered.events(), &clean.events[..]);
+}
+
+/// An epoch journal recovery cannot read is an error, never a reason to re-run the
+/// epoch: re-running would delete the record of work the crowd was already paid for.
+#[cfg(unix)]
+#[test]
+fn an_unreadable_epoch_journal_fails_recovery_and_is_kept() {
+    let dir = temp_dir("unreadable-epoch");
+    let mut service = FleetService::open(&dir, config()).unwrap();
+    let _ = service.submit(job("alpha", 4)).unwrap();
+    let _ = service.submit(job("beta", 3)).unwrap();
+    service.run_epoch().unwrap().expect("two admitted jobs");
+    drop(service);
+
+    // Swap the epoch's only segment for a dangling symlink.
+    let segment = dir.join("epoch-000000").join("segment-000000.wal");
+    let moved = dir.join("segment-000000.wal.moved");
+    std::fs::rename(&segment, &moved).unwrap();
+    std::os::unix::fs::symlink(dir.join("nowhere.wal"), &segment).unwrap();
+    match FleetService::recover(&dir) {
+        Err(CdasError::JournalIo { .. }) => {}
+        Err(other) => panic!("expected JournalIo, got {other:?}"),
+        Ok((_, recovery)) => panic!("recovery re-ran the epoch: {recovery:?}"),
+    }
+    let link = std::fs::symlink_metadata(&segment).expect("the link is still there");
+    assert!(link.file_type().is_symlink(), "the link was replaced");
+
+    // With the segment back, recovery reuses the journaled epoch.
+    std::fs::remove_file(&segment).unwrap();
+    std::fs::rename(&moved, &segment).unwrap();
+    let (_, recovery) = FleetService::recover(&dir).unwrap();
+    let [Some(epoch)] = recovery.epoch_recoveries.as_slice() else {
+        panic!(
+            "expected one reused epoch, got {:?}",
+            recovery.epoch_recoveries
+        );
+    };
+    assert!(epoch.was_complete, "the epoch's journal held its whole run");
+    assert_eq!(epoch.resumed_hits, 0, "nothing of the epoch was re-run");
 }
 
 proptest! {
