@@ -39,7 +39,6 @@
 //! assert_eq!(ledger.available(), 10);
 //! ```
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -58,8 +57,8 @@ pub struct LeaseId(pub u64);
 #[derive(Debug, Default)]
 struct LedgerState {
     roster: Vec<WorkerId>,
-    /// Each worker's position in `roster`.
-    position: BTreeMap<WorkerId, usize>,
+    /// Each worker's position in `roster`, as `(worker, position)` pairs sorted by worker.
+    position: Vec<(WorkerId, usize)>,
     /// Whether the worker at each roster position is checked out.
     checked_out: Vec<bool>,
     /// The roster positions each outstanding lease holds.
@@ -155,13 +154,21 @@ pub struct PoolLedger {
 impl PoolLedger {
     /// A ledger over an explicit roster (duplicates are collapsed, order preserved).
     pub fn new(roster: impl IntoIterator<Item = WorkerId>) -> Self {
-        let mut position = BTreeMap::new();
-        let mut ids = Vec::new();
-        for worker in roster {
-            if let Entry::Vacant(slot) = position.entry(worker) {
-                slot.insert(ids.len());
-                ids.push(worker);
-            }
+        // Sorted `(worker, index)` pairs keep each worker's first occurrence. In index
+        // order the survivors are the roster, and each one's rank there is its position.
+        let mut position: Vec<(WorkerId, usize)> = roster
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| (w, i))
+            .collect();
+        position.sort_unstable();
+        position.dedup_by_key(|entry| entry.0);
+        let mut by_index: Vec<&mut (WorkerId, usize)> = position.iter_mut().collect();
+        by_index.sort_unstable_by_key(|entry| entry.1);
+        let mut ids = Vec::with_capacity(by_index.len());
+        for (p, entry) in by_index.into_iter().enumerate() {
+            entry.1 = p;
+            ids.push(entry.0);
         }
         PoolLedger {
             table: Arc::new(Mutex::new(LedgerState {
@@ -199,6 +206,18 @@ impl PoolLedger {
         self.state().roster.clone()
     }
 
+    /// The workers not checked out, in roster order (a copy, read under one lock).
+    pub fn free_roster(&self) -> Vec<WorkerId> {
+        let state = self.state();
+        state
+            .roster
+            .iter()
+            .zip(&state.checked_out)
+            .filter(|&(_, &out)| !out)
+            .map(|(&worker, _)| worker)
+            .collect()
+    }
+
     /// Number of workers currently free.
     pub fn available(&self) -> usize {
         let state = self.state();
@@ -220,8 +239,10 @@ impl PoolLedger {
         let state = self.state();
         state
             .position
-            .get(&worker)
-            .and_then(|&p| state.checked_out.get(p))
+            .binary_search_by_key(&worker, |&(w, _)| w)
+            .ok()
+            .and_then(|i| state.position.get(i))
+            .and_then(|&(_, p)| state.checked_out.get(p))
             .is_some_and(|&out| out)
     }
 

@@ -3,7 +3,7 @@
 //! including the paper's footnote that a cancelled HIT does not pay workers who have not
 //! submitted yet).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use cdas_core::economics::CostModel;
 use cdas_core::types::{HitId, Label, QuestionId, WorkerId};
@@ -142,10 +142,9 @@ pub trait CrowdPlatform: Send {
 
 struct HitState {
     hit: PublishedHit,
-    /// Every answer the assigned workers will eventually produce, sorted by arrival time.
-    pending: Vec<WorkerAnswer>,
-    /// Index of the next pending answer to deliver.
-    delivered: usize,
+    /// The answers not delivered yet, sorted by arrival time. `poll` moves them out and
+    /// `cancel` drops them, so the platform keeps no answer it will not deliver.
+    pending: VecDeque<WorkerAnswer>,
     cancelled: bool,
 }
 
@@ -232,7 +231,7 @@ impl SimulatedPlatform {
             .collect();
         let schedule = ArrivalSchedule::from_times(times);
 
-        let mut pending = Vec::with_capacity(assigned.len() * request.questions.len());
+        let mut pending = VecDeque::with_capacity(assigned.len() * request.questions.len());
         for (worker_idx, finished_at) in schedule.iter() {
             // The schedule only yields indexes of the workers it was built
             // from, so a miss is unreachable.
@@ -241,7 +240,7 @@ impl SimulatedPlatform {
             };
             for question in &request.questions {
                 let (label, keywords) = worker.answer_with_reasons(question, &mut self.rng);
-                pending.push(WorkerAnswer {
+                pending.push_back(WorkerAnswer {
                     hit: id,
                     worker: worker.id,
                     question: question.id,
@@ -264,7 +263,6 @@ impl SimulatedPlatform {
                     published_at: self.now,
                 },
                 pending,
-                delivered: 0,
                 cancelled: false,
             },
         );
@@ -306,12 +304,11 @@ impl CrowdPlatform for SimulatedPlatform {
             return Vec::new();
         }
         let mut delivered = Vec::new();
-        while let Some(answer) = state.pending.get(state.delivered) {
+        while let Some(answer) = state.pending.front() {
             if answer.arrived_at > now {
                 break;
             }
-            delivered.push(answer.clone());
-            state.delivered += 1;
+            delivered.extend(state.pending.pop_front());
         }
         // The requester is charged per delivered per-question answer, pro-rated from the
         // per-assignment price over the batch size.
@@ -331,7 +328,7 @@ impl CrowdPlatform for SimulatedPlatform {
         if state.cancelled {
             return None;
         }
-        state.pending.get(state.delivered).map(|a| a.arrived_at)
+        state.pending.front().map(|a| a.arrived_at)
     }
 
     fn cancel(&mut self, hit: HitId, now: f64) -> CancelReceipt {
@@ -346,9 +343,11 @@ impl CrowdPlatform for SimulatedPlatform {
         // submissions, so the undelivered tail is a set of complete submissions. Each
         // cancelled worker stops working `now` instead of at their completion time; the
         // difference is the reclaimed simulated time. An end-of-time cancel (`now` not
-        // finite, or past every arrival) reclaims nothing.
+        // finite, or past every arrival) reclaims nothing. The tail is dropped here: a
+        // cancelled HIT delivers nothing more.
+        let cancelled = std::mem::take(&mut state.pending);
         let mut workers = BTreeMap::new();
-        for answer in state.pending.iter().skip(state.delivered) {
+        for answer in &cancelled {
             workers.entry(answer.worker).or_insert(answer.arrived_at);
         }
         let reclaimed_minutes = if now.is_finite() {
@@ -357,7 +356,7 @@ impl CrowdPlatform for SimulatedPlatform {
             0.0
         };
         CancelReceipt {
-            answers_cancelled: state.pending.len() - state.delivered,
+            answers_cancelled: cancelled.len(),
             workers_cancelled: workers.len(),
             reclaimed_minutes,
         }

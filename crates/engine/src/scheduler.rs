@@ -688,16 +688,16 @@ impl JobScheduler {
         // so this is the only point where an outstanding external lease can be honoured
         // (a lease taken through the parent *during* the parallel run is not observed,
         // unlike in `run`/`run_clocked`, which lease from the parent tick by tick).
-        let parent_roster = self.ledger.roster();
+        let free = self.ledger.free_roster();
         let rosters: Vec<Vec<WorkerId>> = platform
             .shards()
             .iter()
             .map(|shard| {
-                let members: BTreeSet<WorkerId> = shard.roster().iter().copied().collect();
-                parent_roster
-                    .iter()
+                let mut members = shard.roster().to_vec();
+                members.sort_unstable();
+                free.iter()
                     .copied()
-                    .filter(|w| members.contains(w) && !self.ledger.is_leased(*w))
+                    .filter(|w| members.binary_search(w).is_ok())
                     .collect()
             })
             .collect();

@@ -46,6 +46,7 @@
 //! let report = service.shutdown().unwrap();
 //! assert_eq!(report.submitted, 1);
 //! assert!(report.events.iter().any(|e| e.concerns(ticket)));
+//! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
 pub mod admission;
@@ -838,11 +839,20 @@ mod tests {
     use cdas_crowd::arrival::LatencyModel;
     use cdas_crowd::spec::CrowdSpec;
 
-    fn temp_dir(name: &str) -> PathBuf {
+    /// Removes a test's directory when the test ends, also when it fails.
+    struct RemoveOnDrop(PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(name: &str) -> (PathBuf, RemoveOnDrop) {
         let dir =
             std::env::temp_dir().join(format!("cdas-service-unit-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        (dir.clone(), RemoveOnDrop(dir))
     }
 
     fn config() -> ServiceConfig {
@@ -862,7 +872,7 @@ mod tests {
 
     #[test]
     fn submit_run_shutdown_round_trip() {
-        let dir = temp_dir("round-trip");
+        let (dir, _cleanup) = temp_dir("round-trip");
         let mut service = FleetService::open(&dir, config()).unwrap();
         let a = service.submit(job("a", 5)).unwrap();
         let b = service.submit(job("b", 5)).unwrap();
@@ -884,7 +894,7 @@ mod tests {
 
     #[test]
     fn an_unservable_job_is_rejected_not_queued() {
-        let dir = temp_dir("unservable");
+        let (dir, _cleanup) = temp_dir("unservable");
         let mut service = FleetService::open(&dir, config()).unwrap();
         match service.submit(job("wide", 40)) {
             Err(Rejected::Policy {
@@ -903,7 +913,7 @@ mod tests {
 
     #[test]
     fn saturating_submissions_queue_and_later_promote() {
-        let dir = temp_dir("queue-promote");
+        let (dir, _cleanup) = temp_dir("queue-promote");
         let mut service = FleetService::open(&dir, config()).unwrap();
         // Three 7-worker jobs against 16 workers: the third sees 14 reserved and
         // has no free workers left under the mix.
@@ -931,7 +941,7 @@ mod tests {
 
     #[test]
     fn poll_cursors_are_per_ticket_and_drain() {
-        let dir = temp_dir("poll");
+        let (dir, _cleanup) = temp_dir("poll");
         let mut service = FleetService::open(&dir, config()).unwrap();
         let a = service.submit(job("a", 5)).unwrap();
         let b = service.submit(job("b", 5)).unwrap();
@@ -960,7 +970,7 @@ mod tests {
 
     #[test]
     fn budget_breaches_are_rejected() {
-        let dir = temp_dir("budget");
+        let (dir, _cleanup) = temp_dir("budget");
         let mut service = FleetService::open(&dir, config().budget(0.0)).unwrap();
         match service.submit(job("a", 5)) {
             Err(Rejected::Policy { reason, .. }) => {
@@ -972,7 +982,7 @@ mod tests {
 
     #[test]
     fn nan_deadlines_are_invalid_and_never_journaled() {
-        let dir = temp_dir("nan-deadline");
+        let (dir, _cleanup) = temp_dir("nan-deadline");
         let mut service = FleetService::open(&dir, config()).unwrap();
         match service.submit(job("a", 5).deadline_minutes(f64::NAN)) {
             Err(Rejected::Invalid(CdasError::InvalidConfig { field, .. })) => {
@@ -987,7 +997,7 @@ mod tests {
 
     #[test]
     fn nan_budgets_are_refused_before_the_directory_is_touched() {
-        let dir = temp_dir("nan-budget");
+        let (dir, _cleanup) = temp_dir("nan-budget");
         match FleetService::open(&dir, config().budget(f64::NAN)).err() {
             Some(CdasError::InvalidConfig { field, .. }) => assert_eq!(field, "service.budget"),
             other => panic!("expected an invalid budget, got {other:?}"),
@@ -997,7 +1007,7 @@ mod tests {
 
     #[test]
     fn epoch_shard_count_is_auto_picked_and_journaled() {
-        let dir = temp_dir("shards");
+        let (dir, _cleanup) = temp_dir("shards");
         let mut service = FleetService::open(&dir, config()).unwrap();
         // Two 5-worker jobs: two 8-worker shards fit one each → Parallel { 2 }.
         let _ = service.submit(job("a", 5)).unwrap();
@@ -1012,7 +1022,7 @@ mod tests {
 
     #[test]
     fn recover_after_clean_shutdown_reproduces_the_event_stream() {
-        let dir = temp_dir("recover-clean");
+        let (dir, _cleanup) = temp_dir("recover-clean");
         let mut service = FleetService::open(&dir, config()).unwrap();
         let a = service.submit(job("a", 5)).unwrap();
         service.run_epoch().unwrap().expect("runs");

@@ -7,14 +7,17 @@
 //! resume the journaled wreckage to a run indistinguishable from one that never
 //! crashed, without re-paying any HIT the crashed run already committed.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Once;
 
 use cdas::core::CdasError;
 use cdas::crowd::failpoint::FAILPOINT_PANIC;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
+use common::TempDir;
 use proptest::prelude::*;
 
 /// Keep the default panic hook from spamming stderr with the injected panics the
@@ -35,10 +38,8 @@ fn silence_injected_panics() {
     });
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cdas-fault-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("fault", name)
 }
 
 fn crowd() -> CrowdSpec {

@@ -9,20 +9,20 @@
 //! digest, a segment in an older format) must be rejected loudly, never silently
 //! replayed.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 
 use cdas::core::codec::BinCodec;
 use cdas::core::types::HitId;
 use cdas::core::CdasError;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
+use common::TempDir;
 use proptest::prelude::*;
 
-/// A unique scratch directory per test (wiped on entry; tests may run in parallel).
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cdas-journal-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("journal", name)
 }
 
 fn crowd() -> CrowdSpec {

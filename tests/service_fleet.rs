@@ -17,14 +17,17 @@
 //!   *accepted* when its live-mix predicted makespan exceeds its deadline, and
 //!   queued servable jobs always drain (no starvation under round-robin).
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Once;
 
 use cdas::core::CdasError;
 use cdas::crowd::failpoint::FAILPOINT_PANIC;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
+use common::TempDir;
 use proptest::prelude::*;
 
 /// Keep the default panic hook from spamming stderr with injected panics.
@@ -44,10 +47,8 @@ fn silence_injected_panics() {
     });
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cdas-service-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(name: &str) -> TempDir {
+    TempDir::new("service", name)
 }
 
 fn config() -> ServiceConfig {
@@ -70,7 +71,7 @@ fn job(name: &str, workers: usize) -> JobSpec {
 /// the first two submissions and recovers it, proving the journaled-pending tickets
 /// survive the kill; `crash_in_epoch` kills the first epoch mid-run via a platform
 /// failpoint and recovers the wreckage.
-fn lifetime(dir: &PathBuf, crash_after_submissions: bool, crash_in_epoch: bool) -> ServiceReport {
+fn lifetime(dir: &Path, crash_after_submissions: bool, crash_in_epoch: bool) -> ServiceReport {
     let mut service = FleetService::open(dir, config()).unwrap();
     let a = service.submit(job("alpha", 4)).unwrap();
     let b = service.submit(job("beta", 3)).unwrap();
