@@ -43,7 +43,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdas_core::types::WorkerId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -59,17 +58,28 @@ struct LedgerState {
     roster: Vec<WorkerId>,
     /// Each worker's position in `roster`, as `(worker, position)` pairs sorted by worker.
     position: Vec<(WorkerId, usize)>,
+    /// The free roster positions, in the order past leases and releases left them.
+    free: Vec<usize>,
     /// Whether the worker at each roster position is checked out.
     checked_out: Vec<bool>,
-    /// The roster positions each outstanding lease holds.
+    /// The roster positions each outstanding lease holds, in draw order.
     leases: BTreeMap<LeaseId, Vec<usize>>,
     next_lease: u64,
 }
 
 impl LedgerState {
-    /// Number of workers checked out: leases are disjoint, so the sum of their sizes.
+    /// Number of workers checked out.
     fn leased(&self) -> usize {
-        self.leases.values().map(Vec::len).sum()
+        self.roster.len() - self.free.len()
+    }
+
+    /// Check out the position at `index` of `free`, swap-removing it from the list.
+    fn take_free(&mut self, index: usize) -> usize {
+        let p = self.free.swap_remove(index);
+        if let Some(flag) = self.checked_out.get_mut(p) {
+            *flag = true;
+        }
+        p
     }
 
     /// Return a lease's workers to the free roster; no-op for unknown/released ids.
@@ -80,6 +90,7 @@ impl LedgerState {
         for &p in &positions {
             if let Some(flag) = self.checked_out.get_mut(p) {
                 *flag = false;
+                self.free.push(p);
             }
         }
         positions.len()
@@ -125,7 +136,7 @@ impl Drop for WorkerLease {
     fn drop(&mut self) {
         // Recover from a poisoned table rather than skip the release: the only foreign
         // code that runs under the ledger lock is the caller's RNG inside `try_lease`'s
-        // shuffle, which executes *before* any state mutation — so a poisoned
+        // draws, which execute *before* any state mutation — so a poisoned
         // `LedgerState` is never mid-mutation and releasing into it is safe. Skipping
         // would strand this lease's workers forever, the exact failure RAII exists to
         // rule out.
@@ -140,12 +151,14 @@ impl Drop for WorkerLease {
 ///
 /// `PoolLedger` is a handle: clones share the same table, so a test (or a supervisor
 /// thread) can keep a clone and watch `available()`/`outstanding_leases()` while a
-/// scheduler leases through its own. The table keeps one leased flag per roster
-/// position. [`try_lease`](Self::try_lease) is O(roster): it collects the free
-/// positions with one pass over the flags and shuffles them. Releasing a lease is
-/// O(lease size), [`is_leased`](Self::is_leased) is O(log roster), and the counts are
-/// O(outstanding leases). Everything is deterministic given the caller's RNG, like the
-/// rest of the simulation.
+/// scheduler leases through its own. The table keeps the free roster positions in a
+/// list, plus one leased flag per roster position. A [`try_lease`](Self::try_lease) of
+/// `n` workers is O(n): it draws `n` indices and swap-removes them from the list. A
+/// release is O(1) per worker: it pushes the positions back. [`is_leased`](Self::is_leased)
+/// is a binary search, O(log roster), and the counts are O(1). Everything is
+/// deterministic given the caller's RNG, like the rest of the simulation. The order of
+/// the free list, and so which workers a given draw picks, follows the ledger's lease
+/// history.
 #[derive(Debug, Clone, Default)]
 pub struct PoolLedger {
     table: Arc<Mutex<LedgerState>>,
@@ -172,6 +185,7 @@ impl PoolLedger {
         }
         PoolLedger {
             table: Arc::new(Mutex::new(LedgerState {
+                free: (0..ids.len()).collect(),
                 checked_out: vec![false; ids.len()],
                 roster: ids,
                 position,
@@ -220,8 +234,7 @@ impl PoolLedger {
 
     /// Number of workers currently free.
     pub fn available(&self) -> usize {
-        let state = self.state();
-        state.roster.len() - state.leased()
+        self.state().free.len()
     }
 
     /// Number of workers currently checked out.
@@ -259,8 +272,9 @@ impl PoolLedger {
     }
 
     /// Try to check out `n` distinct free workers, chosen uniformly at random among the
-    /// free part of the roster. Returns `None` — leaving the ledger untouched — when fewer
-    /// than `n` workers are free (the caller waits and retries) or when `n` is zero.
+    /// free part of the roster: every `n`-subset of the free workers is equally likely.
+    /// Returns `None` — leaving the ledger untouched — when fewer than `n` workers are
+    /// free (the caller waits and retries) or when `n` is zero.
     ///
     /// The returned [`WorkerLease`] releases on drop.
     #[must_use = "an unbound lease releases its workers immediately, making the checkout a no-op"]
@@ -269,34 +283,24 @@ impl PoolLedger {
             return None;
         }
         let mut state = self.state();
-        if state.roster.len() - state.leased() < n {
+        let free = state.free.len();
+        if free < n {
             return None;
         }
-        // The free positions in roster order, shuffled whole: the same draws, and so the
-        // same workers, as shuffling the free workers themselves.
-        let mut free: Vec<usize> = state
-            .checked_out
-            .iter()
-            .enumerate()
-            .filter(|&(_, &out)| !out)
-            .map(|(p, _)| p)
-            .collect();
-        free.shuffle(rng);
-        free.truncate(n);
-        // Flags go up only once the caller's RNG is done: a panic inside the shuffle
-        // leaves the table as it was.
-        for &p in &free {
-            if let Some(flag) = state.checked_out.get_mut(p) {
-                *flag = true;
-            }
+        // Draw i picks uniformly among the `free - i` workers the first i draws left.
+        // Every index is drawn before the table changes: a panic inside the caller's RNG
+        // leaves it as it was.
+        let mut picked: Vec<usize> = (0..n).map(|i| rng.random_range(0..free - i)).collect();
+        for pick in &mut picked {
+            *pick = state.take_free(*pick);
         }
-        let workers = free
+        let workers = picked
             .iter()
             .filter_map(|&p| state.roster.get(p).copied())
             .collect();
         let id = LeaseId(state.next_lease);
         state.next_lease += 1;
-        state.leases.insert(id, free);
+        state.leases.insert(id, picked);
         Some(WorkerLease {
             id,
             workers,
@@ -477,6 +481,41 @@ mod tests {
     }
 
     #[test]
+    fn picks_are_uniform_over_the_free_workers() {
+        // Ten of 30 workers stay leased throughout. Two 4-worker leases overlap in every
+        // round and are released in alternating order, so the free list's order keeps
+        // changing. Each of the 20 free workers is in a round's 8 picks with probability
+        // 0.4: 4,000 picks in 10,000 rounds, with a standard deviation near 49.
+        let l = ledger(30);
+        let mut rng = StdRng::seed_from_u64(17);
+        let held = l.try_lease(10, &mut rng).unwrap();
+        let mut picks = vec![0u32; 30];
+        for round in 0..10_000 {
+            let a = l.try_lease(4, &mut rng).unwrap();
+            let b = l.try_lease(4, &mut rng).unwrap();
+            for w in a.workers().iter().chain(b.workers()) {
+                picks[w.0 as usize] += 1;
+            }
+            if round % 2 == 0 {
+                drop((a, b));
+            } else {
+                drop((b, a));
+            }
+        }
+        for (worker, &count) in picks.iter().enumerate() {
+            if held.workers().contains(&WorkerId(worker as u64)) {
+                assert_eq!(count, 0, "leased worker {worker} was picked");
+            } else {
+                // Within 5% of uniform, about four standard deviations.
+                assert!(
+                    (3_800..=4_200).contains(&count),
+                    "worker {worker} picked {count} times"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn leasing_is_deterministic_for_a_seed() {
         let pick = || {
             let l = ledger(40);
@@ -495,10 +534,12 @@ mod proptests {
     use rand::SeedableRng;
     use std::collections::BTreeSet;
 
-    /// The lease table as a busy set probed once per roster worker: the reference the
-    /// flag-indexed table must match draw for draw.
+    /// The lease table as a plain list of free workers plus a busy set: a lease
+    /// swap-removes the worker at each drawn index, a release pushes its workers back.
+    /// The reference the indexed table must match draw for draw.
     struct BusySetLedger {
         roster: Vec<WorkerId>,
+        free: Vec<WorkerId>,
         busy: BTreeSet<WorkerId>,
         leases: BTreeMap<LeaseId, Vec<WorkerId>>,
         next_lease: u64,
@@ -507,8 +548,11 @@ mod proptests {
     impl BusySetLedger {
         fn new(roster: &[WorkerId]) -> Self {
             let mut seen = BTreeSet::new();
+            let roster: Vec<WorkerId> =
+                roster.iter().copied().filter(|w| seen.insert(*w)).collect();
             BusySetLedger {
-                roster: roster.iter().copied().filter(|w| seen.insert(*w)).collect(),
+                free: roster.clone(),
+                roster,
                 busy: BTreeSet::new(),
                 leases: BTreeMap::new(),
                 next_lease: 0,
@@ -516,31 +560,27 @@ mod proptests {
         }
 
         fn try_lease(&mut self, n: usize, rng: &mut StdRng) -> Option<(LeaseId, Vec<WorkerId>)> {
-            if n == 0 {
+            if n == 0 || self.free.len() < n {
                 return None;
             }
-            let mut free: Vec<WorkerId> = self
-                .roster
-                .iter()
-                .copied()
-                .filter(|w| !self.busy.contains(w))
+            let workers: Vec<WorkerId> = (0..n)
+                .map(|_| {
+                    let index = rng.random_range(0..self.free.len());
+                    self.free.swap_remove(index)
+                })
                 .collect();
-            if free.len() < n {
-                return None;
-            }
-            free.shuffle(rng);
-            free.truncate(n);
-            self.busy.extend(free.iter().copied());
+            self.busy.extend(workers.iter().copied());
             let id = LeaseId(self.next_lease);
             self.next_lease += 1;
-            self.leases.insert(id, free.clone());
-            Some((id, free))
+            self.leases.insert(id, workers.clone());
+            Some((id, workers))
         }
 
         fn release(&mut self, lease: LeaseId) -> usize {
             let workers = self.leases.remove(&lease).unwrap_or_default();
             for w in &workers {
                 self.busy.remove(w);
+                self.free.push(*w);
             }
             workers.len()
         }
@@ -564,12 +604,19 @@ mod proptests {
         for (&id, workers) in &reference.leases {
             assert_eq!(ledger.workers_of(id).as_ref(), Some(workers));
         }
+        let free: Vec<WorkerId> = reference
+            .roster
+            .iter()
+            .copied()
+            .filter(|w| !reference.busy.contains(w))
+            .collect();
+        assert_eq!(ledger.free_roster(), free);
     }
 
     proptest! {
-        /// Any sequence of leases, guard drops and releases by id leaves the
-        /// flag-indexed table where the busy-set table would be, picking the same
-        /// workers from the same RNG, on a roster out of id order and with duplicates.
+        /// Any sequence of leases, guard drops and releases by id leaves the indexed
+        /// table where the reference table would be, picking the same workers from the
+        /// same RNG, on a roster out of id order and with duplicates.
         #[test]
         fn flag_table_matches_the_busy_set_table(
             roster in prop::collection::vec(0u64..40, 0..40),

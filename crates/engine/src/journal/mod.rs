@@ -49,10 +49,13 @@ use std::path::{Path, PathBuf};
 use cdas_core::codec::BinCodec;
 use cdas_core::{CdasError, Result};
 
-/// Magic + format version prefix of every segment file. Version 3 digests commits
-/// whose outcome registry holds only the batch's answering workers; version 2 digested
-/// a copy of the whole fleet registry, and version 1 journaled the whole outcome.
-const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL3";
+/// Magic + format version prefix of every segment file. Version 4 is written by runs
+/// that lease workers from the ledger's free list; the records are laid out as in
+/// version 3, but a run journaled before would re-execute to other dispatches. Version
+/// 3 digests commits whose outcome registry holds only the batch's answering workers;
+/// version 2 digested a copy of the whole fleet registry, and version 1 journaled the
+/// whole outcome.
+const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL4";
 /// Segment header: magic followed by the segment's `u64` index.
 const SEGMENT_HEADER_LEN: u64 = 16;
 /// Frame header: `u32` payload length + `u32` CRC-32 of the payload.

@@ -380,12 +380,12 @@ fn a_segment_in_the_old_format_is_corrupt() {
         .run(ExecutionMode::Clocked)
         .unwrap();
     // Stamp an earlier format's magic over the segment header: its records would
-    // decode as something else, or digest commits differently, so the whole segment
-    // must be refused.
+    // decode as something else, digest commits differently, or re-execute to other
+    // dispatches, so the whole segment must be refused.
     let segment = dir.join("segment-000000.wal");
     let current = std::fs::read(&segment).unwrap();
-    assert_eq!(current.get(..8), Some(b"CDASWAL3".as_slice()));
-    for old_magic in [*b"CDASWAL1", *b"CDASWAL2"] {
+    assert_eq!(current.get(..8), Some(b"CDASWAL4".as_slice()));
+    for old_magic in [*b"CDASWAL1", *b"CDASWAL2", *b"CDASWAL3"] {
         let mut bytes = current.clone();
         bytes.splice(..8, old_magic);
         std::fs::write(&segment, bytes).unwrap();
