@@ -172,14 +172,14 @@ fn actual_table() -> Vec<String> {
 }
 
 const GOLDEN: &str = "\
-0/clocked/0 acc=1.0 cost=0.09900000000000003 answers=2.2222222222222223 hits=3 verdicts=0f68b90bfb643f53\n\
-0/clocked/1 acc=0.75 cost=0.17600000000000013 answers=4.0 hits=4 verdicts=8f364085952bf965\n\
-0/clocked/2 acc=1.0 cost=0.055 answers=2.142857142857143 hits=2 verdicts=11fefff0f9ffb850\n\
-0/clocked/3 acc=1.0 cost=0.09900000000000005 answers=2.3333333333333335 hits=3 verdicts=554567bb1a8ce748\n\
-0/parallel2/0 acc=0.8888888888888888 cost=0.14300000000000002 answers=2.7777777777777777 hits=3 verdicts=855c01b5f6c9d8ca\n\
-0/parallel2/1 acc=1.0 cost=0.17600000000000002 answers=4.0 hits=4 verdicts=32d11d5910196e4c\n\
-0/parallel2/2 acc=1.0 cost=0.05500000000000002 answers=2.142857142857143 hits=2 verdicts=97c87564db7df838\n\
-0/parallel2/3 acc=1.0 cost=0.06600000000000006 answers=2.0 hits=3 verdicts=d2c2a8c7c39f602a\n\
+0/clocked/0 acc=1.0 cost=0.09900000000000003 answers=2.2222222222222223 hits=3 verdicts=22d7bdcfb7466ea1\n\
+0/clocked/1 acc=1.0 cost=0.17600000000000013 answers=4.0 hits=4 verdicts=a839156ffcd626c3\n\
+0/clocked/2 acc=1.0 cost=0.055 answers=2.142857142857143 hits=2 verdicts=dafa9958ea772184\n\
+0/clocked/3 acc=0.8333333333333334 cost=0.11000000000000006 answers=2.6666666666666665 hits=3 verdicts=6b6ffac4fee3de3e\n\
+0/parallel2/0 acc=0.8888888888888888 cost=0.12099999999999997 answers=2.5555555555555554 hits=3 verdicts=66a6a74befd1311d\n\
+0/parallel2/1 acc=1.0 cost=0.17600000000000002 answers=4.0 hits=4 verdicts=b47ff901da5f2417\n\
+0/parallel2/2 acc=0.8571428571428571 cost=0.05500000000000005 answers=2.142857142857143 hits=2 verdicts=ce2df1e310a522fd\n\
+0/parallel2/3 acc=1.0 cost=0.06600000000000006 answers=2.0 hits=3 verdicts=9cef237ad9422e69\n\
 0/eot-Majority-Voting/0 acc=1.0 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=5c2f6ffed451d9ec\n\
 0/eot-Majority-Voting/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=e71a310ef71eacdd\n\
 0/eot-Majority-Voting/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=b537dea3e6f5a0e1\n\
@@ -188,33 +188,33 @@ const GOLDEN: &str = "\
 0/eot-Half-Voting/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=e71a310ef71eacdd\n\
 0/eot-Half-Voting/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=b537dea3e6f5a0e1\n\
 0/eot-Half-Voting/3 acc=0.8333333333333334 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=232d871b3d0f0313\n\
-0/eot-Verification/0 acc=1.0 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=3656f62d8661171c\n\
-0/eot-Verification/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=a3f4df1a4c04cb25\n\
-0/eot-Verification/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=1e64d8b39187bb85\n\
-0/eot-Verification/3 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=f2423f9ef8814287\n\
-1/clocked/0 acc=1.0 cost=0.23100000000000015 answers=7.0 hits=3 verdicts=d34aa594fa7ecfa3\n\
-1/clocked/1 acc=0.9 cost=0.06599999999999999 answers=2.4 hits=2 verdicts=699364a139f8310e\n\
-1/clocked/2 acc=0.8888888888888888 cost=0.1430000000000001 answers=3.7777777777777777 hits=3 verdicts=718215b0b775fafc\n\
-1/parallel2/0 acc=0.9166666666666666 cost=0.23100000000000012 answers=7.0 hits=3 verdicts=cf1ab0ea5a094b0b\n\
-1/parallel2/1 acc=1.0 cost=0.05499999999999999 answers=2.2 hits=2 verdicts=281930db2a68372b\n\
-1/parallel2/2 acc=1.0 cost=0.14300000000000004 answers=3.6666666666666665 hits=3 verdicts=862656ad4d4d4cd2\n\
-1/eot-Majority-Voting/0 acc=0.9166666666666666 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=fc37c7790b075109\n\
-1/eot-Majority-Voting/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=230c5ed7490562d3\n\
-1/eot-Majority-Voting/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=f1f2f1851d049781\n\
-1/eot-Half-Voting/0 acc=0.8333333333333334 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=e19ec481e04b02b2\n\
-1/eot-Half-Voting/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=230c5ed7490562d3\n\
-1/eot-Half-Voting/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=f1f2f1851d049781\n\
-1/eot-Verification/0 acc=1.0 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=142e0b98364c5380\n\
-1/eot-Verification/1 acc=0.9 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=c801b213f17df73e\n\
-1/eot-Verification/2 acc=0.7777777777777778 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=c7b9a8e325257dc4\n\
-2/clocked/0 acc=0.9 cost=0.11000000000000007 answers=3.5 hits=2 verdicts=129795c2a8b410a8\n\
-2/clocked/1 acc=0.5 cost=0.09899999999999996 answers=3.0 hits=3 verdicts=1819bcfad2a4e7f4\n\
-2/clocked/2 acc=0.7272727272727273 cost=0.14300000000000007 answers=3.5454545454545454 hits=3 verdicts=3af96ef30325ca21\n\
-2/clocked/3 acc=0.6 cost=0.15400000000000014 answers=7.0 hits=2 verdicts=745cc5a8e02298e6\n\
-2/parallel2/0 acc=0.9 cost=0.088 answers=3.4 hits=2 verdicts=4d18c8f7e4404d6e\n\
-2/parallel2/1 acc=0.375 cost=0.099 answers=3.0 hits=3 verdicts=99d13d6fe47c13e4\n\
-2/parallel2/2 acc=0.7272727272727273 cost=0.14300000000000007 answers=3.090909090909091 hits=3 verdicts=c25c9961c1233ac6\n\
-2/parallel2/3 acc=0.8 cost=0.15400000000000005 answers=7.0 hits=2 verdicts=80a9ea7077c10414\n\
+0/eot-Verification/0 acc=0.8888888888888888 cost=0.16500000000000004 answers=5.0 hits=3 verdicts=61d680cfd66c9e86\n\
+0/eot-Verification/1 acc=1.0 cost=0.17600000000000005 answers=4.0 hits=4 verdicts=6500be53a653ec4c\n\
+0/eot-Verification/2 acc=1.0 cost=0.066 answers=3.0 hits=2 verdicts=3c70e0e20621645a\n\
+0/eot-Verification/3 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=38b712de2ccb9e41\n\
+1/clocked/0 acc=1.0 cost=0.23100000000000012 answers=7.0 hits=3 verdicts=6b779a1d3b9c6e9e\n\
+1/clocked/1 acc=0.9 cost=0.09900000000000003 answers=2.7 hits=2 verdicts=da6115022ecc7fed\n\
+1/clocked/2 acc=1.0 cost=0.1320000000000001 answers=3.888888888888889 hits=3 verdicts=13839ad0bb1cfcc6\n\
+1/parallel2/0 acc=1.0 cost=0.23100000000000015 answers=7.0 hits=3 verdicts=2905f7b01e8fd266\n\
+1/parallel2/1 acc=0.5 cost=0.022 answers=1.0 hits=2 verdicts=a591409195a84dc6\n\
+1/parallel2/2 acc=1.0 cost=0.132 answers=3.5555555555555554 hits=3 verdicts=2d17498fcbbd8cb5\n\
+1/eot-Majority-Voting/0 acc=1.0 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=a5d34b78bca0bc90\n\
+1/eot-Majority-Voting/1 acc=0.8 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=ac2e1d2bbfef2cb1\n\
+1/eot-Majority-Voting/2 acc=0.8888888888888888 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=24c4bb05bef6caf8\n\
+1/eot-Half-Voting/0 acc=1.0 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=a5d34b78bca0bc90\n\
+1/eot-Half-Voting/1 acc=0.8 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=ac2e1d2bbfef2cb1\n\
+1/eot-Half-Voting/2 acc=0.8888888888888888 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=24c4bb05bef6caf8\n\
+1/eot-Verification/0 acc=1.0 cost=0.23099999999999996 answers=7.0 hits=3 verdicts=6b7afb8b296fa34c\n\
+1/eot-Verification/1 acc=0.8 cost=0.10999999999999999 answers=5.0 hits=2 verdicts=9d93fb2a113e1dc8\n\
+1/eot-Verification/2 acc=0.8888888888888888 cost=0.16499999999999995 answers=5.0 hits=3 verdicts=dc99039e0e13b503\n\
+2/clocked/0 acc=0.8 cost=0.11000000000000007 answers=4.2 hits=2 verdicts=390ef456439e8ec2\n\
+2/clocked/1 acc=1.0 cost=0.09900000000000005 answers=3.0 hits=3 verdicts=592a3925369d08d4\n\
+2/clocked/2 acc=0.7272727272727273 cost=0.14300000000000002 answers=3.0 hits=3 verdicts=92ce297d2b5b8879\n\
+2/clocked/3 acc=1.0 cost=0.15400000000000008 answers=7.0 hits=2 verdicts=144c83eeb30c6c35\n\
+2/parallel2/0 acc=0.9 cost=0.09899999999999999 answers=3.6 hits=2 verdicts=0291835da624da48\n\
+2/parallel2/1 acc=0.625 cost=0.099 answers=3.0 hits=3 verdicts=6b937f6c7f7f61c4\n\
+2/parallel2/2 acc=0.7272727272727273 cost=0.13200000000000006 answers=3.1818181818181817 hits=3 verdicts=d7cd2d165aaf1b57\n\
+2/parallel2/3 acc=0.8 cost=0.15400000000000005 answers=7.0 hits=2 verdicts=e81d6a399f1a1b17\n\
 2/eot-Majority-Voting/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=21613d3a7610f2e7\n\
 2/eot-Majority-Voting/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=7264550fea39c82c\n\
 2/eot-Majority-Voting/2 acc=0.6363636363636364 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=5bf045a0b92d69d2\n\
@@ -223,10 +223,10 @@ const GOLDEN: &str = "\
 2/eot-Half-Voting/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=7264550fea39c82c\n\
 2/eot-Half-Voting/2 acc=0.6363636363636364 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=5bf045a0b92d69d2\n\
 2/eot-Half-Voting/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=3a896619ebdf90ca\n\
-2/eot-Verification/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=b1972a3559446fee\n\
-2/eot-Verification/1 acc=0.875 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=8db773e6f349b841\n\
-2/eot-Verification/2 acc=0.8181818181818182 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=dbf95b53a48b2f12\n\
-2/eot-Verification/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=67b2aca57ee15460
+2/eot-Verification/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=06e67523d9b86acc\n\
+2/eot-Verification/1 acc=0.75 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=792f69d70e16bda7\n\
+2/eot-Verification/2 acc=0.7272727272727273 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=98cac26fb0463b79\n\
+2/eot-Verification/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=ea61f79e10d8a466
 ";
 
 #[test]

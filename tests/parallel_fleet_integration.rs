@@ -133,7 +133,7 @@ fn run_fleet(
         ScheduledJob::named(
             JobKind::SentimentAnalytics,
             format!("job-{j}"),
-            demo_questions(10, 3),
+            demo_questions(10, 6),
         )
         .with_engine(EngineConfig {
             accuracy_source: source.clone(),
