@@ -150,6 +150,10 @@ struct HitState {
 
 /// A deterministic, in-memory simulation of an AMT-like platform backed by a
 /// [`WorkerPool`].
+///
+/// Publishing a HIT generates every answer its workers will give. The platform holds
+/// an answer only until it leaves: [`poll`](CrowdPlatform::poll) moves delivered answers
+/// out to the caller, and [`cancel`](CrowdPlatform::cancel) drops the undelivered rest.
 pub struct SimulatedPlatform {
     pool: WorkerPool,
     cost_model: CostModel,

@@ -604,9 +604,12 @@ impl JobScheduler {
     /// [`ShardedPlatform::split`]. Each thread owns its platform shard, a sub-scheduler
     /// over the shard's slice of this scheduler's roster, and runs **the same clocked
     /// event loop as [`run_clocked`](Self::run_clocked)** — the sequential path is
-    /// literally the one-shard special case of this one, and a 1-shard `run_parallel`
-    /// produces a byte-identical report (up to host wall-clock timings; see
-    /// [`FleetReport::ignoring_wall_clock`]).
+    /// literally the one-shard special case of this one, and on a fresh ledger a 1-shard
+    /// `run_parallel` produces a byte-identical report (up to host wall-clock timings;
+    /// see [`FleetReport::ignoring_wall_clock`]). The shard's ledger is built fresh from
+    /// the parent's free workers in roster order, while which workers a lease draws
+    /// follows the ledger's lease history, so after earlier leases through this
+    /// scheduler's ledger the two runs draw different workers.
     ///
     /// What is shared and what is not:
     ///
@@ -682,7 +685,7 @@ impl JobScheduler {
         }
 
         // Each shard's slice of this scheduler's roster, in the parent ledger's
-        // checkout-priority order (so a 1-way shard leases exactly like the parent).
+        // checkout-priority order (so a 1-way shard leases exactly like a fresh parent).
         // Workers already checked out through another handle of the parent ledger at
         // this moment are excluded outright — the shard ledgers are independent tables,
         // so this is the only point where an outstanding external lease can be honoured
