@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn a_panicking_rng_cannot_poison_the_ledger_or_strand_leases() {
-        // `try_lease` runs the caller's RNG inside the table lock (the shuffle). If that
+        // `try_lease` runs the caller's RNG inside the table lock (the draws). If that
         // RNG panics, the mutex is poisoned — but the state is never mid-mutation at
         // that point, so both the guards' drops and later ledger calls must recover
         // instead of stranding workers or cascading panics.
@@ -489,7 +489,7 @@ mod tests {
         let l = ledger(30);
         let mut rng = StdRng::seed_from_u64(17);
         let held = l.try_lease(10, &mut rng).unwrap();
-        let mut picks = vec![0u32; 30];
+        let mut picks = [0u32; 30];
         for round in 0..10_000 {
             let a = l.try_lease(4, &mut rng).unwrap();
             let b = l.try_lease(4, &mut rng).unwrap();
@@ -536,7 +536,7 @@ mod proptests {
 
     /// The lease table as a plain list of free workers plus a busy set: a lease
     /// swap-removes the worker at each drawn index, a release pushes its workers back.
-    /// The reference the indexed table must match draw for draw.
+    /// The reference the ledger's position-indexed table must match draw for draw.
     struct BusySetLedger {
         roster: Vec<WorkerId>,
         free: Vec<WorkerId>,
@@ -614,7 +614,7 @@ mod proptests {
     }
 
     proptest! {
-        /// Any sequence of leases, guard drops and releases by id leaves the indexed
+        /// Any sequence of leases, guard drops and releases by id leaves the ledger's
         /// table where the reference table would be, picking the same workers from the
         /// same RNG, on a roster out of id order and with duplicates.
         #[test]

@@ -142,8 +142,7 @@ pub trait CrowdPlatform: Send {
 
 struct HitState {
     hit: PublishedHit,
-    /// The answers not delivered yet, sorted by arrival time. `poll` moves them out and
-    /// `cancel` drops them, so the platform keeps no answer it will not deliver.
+    /// The answers not delivered yet, sorted by arrival time.
     pending: VecDeque<WorkerAnswer>,
     cancelled: bool,
 }

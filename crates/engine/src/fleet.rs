@@ -400,7 +400,7 @@ impl<Crowd> FleetBuilder<Crowd> {
     /// Set the *scheduler's* lease-selection RNG seed (default 42, matching
     /// [`SchedulerConfig::default`]). This is deliberately not called `seed`: the crowd's
     /// seed lives on the [`CrowdSpec`] (`CrowdSpec::seed`), and the two drive different
-    /// RNGs — one shuffles lease checkout, the other generates the worker population.
+    /// RNGs — one draws lease checkouts, the other generates the worker population.
     pub fn scheduler_seed(mut self, seed: u64) -> Self {
         self.scheduler.seed = seed;
         self
