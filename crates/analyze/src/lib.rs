@@ -174,12 +174,7 @@ impl Config {
             protocols: vec![
                 ProtocolSpec {
                     publish_calls: vec!["publish_batch", "publish_batch_to"],
-                    collect_calls: vec![
-                        "collect_batch",
-                        "collect_batch_clocked",
-                        "collect_batch_clocked_cached",
-                        "begin_clocked",
-                    ],
+                    collect_calls: vec!["collect_batch", "collect_batch_clocked", "begin_clocked"],
                     ticket_type: "BatchTicket",
                     journal_paths: vec!["crates/engine/src/journal/"],
                 },

@@ -13,6 +13,15 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// A test's scratch directory, removed when dropped, also when the test fails.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn analyze(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_cdas-analyze"))
         .args(args)
@@ -163,9 +172,11 @@ fn stale_baseline_entries_fail_the_check() {
     // A baseline claiming a violation that no longer exists must fail, so the
     // committed inventory can only shrink truthfully.
     let ws = fixtures().join("ws-clean");
-    let dir = std::env::temp_dir().join("cdas-analyze-stale-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let baseline = dir.join("baseline.txt");
+    let dir = RemoveOnDrop(
+        std::env::temp_dir().join(format!("cdas-analyze-stale-test-{}", std::process::id())),
+    );
+    std::fs::create_dir_all(&dir.0).expect("temp dir");
+    let baseline = dir.0.join("baseline.txt");
     std::fs::write(
         &baseline,
         "panic_freedom\tcrates/core/src/lib.rs\t1\tlong gone line\n",

@@ -195,25 +195,10 @@ impl CrowdsourcingEngine {
         self.drive_clocked(platform, ticket, clock, None)
     }
 
-    /// Clocked phase 2 with cross-job accuracy sharing: gold estimates are absorbed into
-    /// the shared registry behind `cache` *as submissions arrive*, and votes are weighted
-    /// with the fleet-wide estimates — so a worker's accuracy learned in job A
-    /// immediately reweights their votes in job B.
-    ///
-    /// An [`AccuracySource::Registry`] in the config is honoured by seeding the shared
-    /// registry with its entries as injected estimates (gold-sampled estimates, from any
-    /// job, always outrank them).
-    pub fn collect_batch_clocked_cached<P: CrowdPlatform>(
-        &self,
-        platform: &mut P,
-        ticket: BatchTicket,
-        clock: &mut SimClock,
-        cache: &AccuracyCache,
-    ) -> Result<ClockedOutcome> {
-        self.drive_clocked(platform, ticket, clock, Some(cache))
-    }
-
-    fn drive_clocked<P: CrowdPlatform>(
+    /// The loop behind [`collect_batch_clocked`](Self::collect_batch_clocked). With a
+    /// `cache`, gold estimates are absorbed into the shared registry behind it as
+    /// submissions arrive, and votes are weighted with the fleet-wide estimates.
+    pub(crate) fn drive_clocked<P: CrowdPlatform>(
         &self,
         platform: &mut P,
         ticket: BatchTicket,
@@ -785,7 +770,7 @@ mod tests {
         let mut clock = SimClock::new();
         let gold = 4;
         let ticket = e.publish_batch(&mut p, batch(6, gold)).unwrap();
-        e.collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+        e.drive_clocked(&mut p, ticket, &mut clock, Some(&cache))
             .unwrap();
         let snapshot = cache.shared().snapshot();
         assert!(!snapshot.is_empty());
@@ -817,7 +802,7 @@ mod tests {
         let mut clock = SimClock::new();
         let ticket = e.publish_batch(&mut p, batch(6, 3)).unwrap();
         let out = e
-            .collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .drive_clocked(&mut p, ticket, &mut clock, Some(&cache))
             .unwrap();
         assert!(
             !cache.shared().is_empty(),
@@ -827,7 +812,7 @@ mod tests {
         // A second, gold-free batch verifies entirely with estimates learned by the first.
         let ticket = e.publish_batch(&mut p, batch(6, 0)).unwrap();
         let out = e
-            .collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .drive_clocked(&mut p, ticket, &mut clock, Some(&cache))
             .unwrap();
         assert!(!out.outcome.registry.is_empty());
         assert!(out.outcome.registry.iter().all(|(_, e)| e.samples > 0));
@@ -850,7 +835,7 @@ mod tests {
         // the configured default.
         let ticket = e.publish_batch(&mut p, batch(4, 0)).unwrap();
         let out = e
-            .collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+            .drive_clocked(&mut p, ticket, &mut clock, Some(&cache))
             .unwrap();
         assert!(cache.shared().is_empty());
         assert!(out.outcome.registry.is_empty());
@@ -860,7 +845,7 @@ mod tests {
         );
 
         let ticket = e.publish_batch(&mut p, batch(6, 3)).unwrap();
-        e.collect_batch_clocked_cached(&mut p, ticket, &mut clock, &cache)
+        e.drive_clocked(&mut p, ticket, &mut clock, Some(&cache))
             .unwrap();
 
         let ticket = e.publish_batch(&mut p, batch(6, 0)).unwrap();

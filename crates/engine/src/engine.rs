@@ -614,7 +614,7 @@ mod tests {
         // Batch 1 carries gold questions: its estimates land in the shared registry.
         let t1 = engine.publish_batch(&mut p, batch(8, 4)).unwrap();
         let o1 = engine
-            .collect_batch_clocked_cached(&mut p, t1, &mut clock, &cache)
+            .drive_clocked(&mut p, t1, &mut clock, Some(&cache))
             .unwrap()
             .outcome;
         assert!(!cache.shared().is_empty());
@@ -624,7 +624,7 @@ mod tests {
         // every estimate it weights votes with was learned in batch 1.
         let t2 = engine.publish_batch(&mut p, batch(8, 0)).unwrap();
         let o2 = engine
-            .collect_batch_clocked_cached(&mut p, t2, &mut clock, &cache)
+            .drive_clocked(&mut p, t2, &mut clock, Some(&cache))
             .unwrap()
             .outcome;
         assert!(!o2.registry.is_empty());
@@ -653,7 +653,7 @@ mod tests {
         // weight votes with beyond the default.
         let ticket = engine.publish_batch(&mut p, batch(6, 0)).unwrap();
         let outcome = engine
-            .collect_batch_clocked_cached(&mut p, ticket, &mut SimClock::new(), &cache)
+            .drive_clocked(&mut p, ticket, &mut SimClock::new(), Some(&cache))
             .unwrap()
             .outcome;
         assert_eq!(

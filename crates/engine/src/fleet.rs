@@ -600,16 +600,11 @@ impl Fleet {
     pub fn submit(&mut self, job: JobSpec) -> Result<JobId> {
         let scheduled = job.resolve(&self.defaults)?;
         let needed = CrowdsourcingEngine::new(scheduled.engine).decide_workers()?;
-        let workers = self.crowd.worker_count();
-        // The shard this job lands on under `run_parallel` striping (job j → shard
-        // j % n) and its round-robin partition size (worker i → shard i % n).
-        let shard = self.jobs.len() % self.shards;
-        let shard_roster = workers / self.shards + usize::from(shard < workers % self.shards);
-        let available = if self.shards > 1 {
-            shard_roster
-        } else {
-            workers
-        };
+        let available = JobScheduler::striped_roster_len(
+            self.jobs.len(),
+            self.shards,
+            self.crowd.worker_count(),
+        );
         if needed > available {
             return Err(CdasError::PoolExhausted { needed, available });
         }

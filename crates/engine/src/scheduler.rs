@@ -267,9 +267,10 @@ pub struct BatchCommit {
 /// per-poll charge (incremental spend), and batch commit (outcome made part of run
 /// state). The write-ahead journal is the canonical implementation.
 ///
-/// In parallel runs each shard's sub-scheduler reports through a relabeling shim, so
-/// observers always see **global** job ids; calls from different shard threads may
-/// interleave, but per-job call order is deterministic.
+/// Job ids are always fleet-wide: every job keeps the id [`JobScheduler::submit`] gave
+/// it on whichever shard it runs. In parallel runs every shard thread calls the observer
+/// directly, so calls from different shard threads may interleave, but per-job call
+/// order is deterministic.
 pub trait RunObserver: Send + Sync {
     /// A batch was published: workers leased, HIT live on the platform.
     fn on_dispatch(&self, dispatch: &DispatchRecord) {
@@ -285,41 +286,6 @@ pub trait RunObserver: Send + Sync {
     /// A batch outcome was committed to its job's run list.
     fn on_commit(&self, commit: &BatchCommit) {
         let _ = commit;
-    }
-}
-
-/// Relabels a shard-local sub-scheduler's observer calls with global job ids before
-/// forwarding to the fleet-level observer.
-struct ShardRelabel {
-    inner: Arc<dyn RunObserver>,
-    /// `global[local_job_index]` = the job's index in the parent scheduler.
-    global: Vec<usize>,
-}
-
-impl ShardRelabel {
-    /// Shard-local job id → fleet-global job id. The table is built from the same
-    /// striping that numbered the locals, so an unmapped id passes through unchanged
-    /// rather than panicking the observer callback inside a shard thread.
-    fn relabel(&self, job: JobId) -> JobId {
-        self.global.get(job.0).copied().map_or(job, JobId)
-    }
-}
-
-impl RunObserver for ShardRelabel {
-    fn on_dispatch(&self, dispatch: &DispatchRecord) {
-        let mut relabeled = dispatch.clone();
-        relabeled.job = self.relabel(relabeled.job);
-        self.inner.on_dispatch(&relabeled);
-    }
-
-    fn on_charge(&self, job: JobId, hit: HitId, amount: f64, at: f64) {
-        self.inner.on_charge(self.relabel(job), hit, amount, at);
-    }
-
-    fn on_commit(&self, commit: &BatchCommit) {
-        let mut relabeled = commit.clone();
-        relabeled.job = self.relabel(relabeled.job);
-        self.inner.on_commit(&relabeled);
     }
 }
 
@@ -348,6 +314,8 @@ struct ShardSeed {
 }
 
 struct JobState {
+    /// The fleet-wide id `submit` gave the job; a shard that runs the job keeps it.
+    id: JobId,
     spec: ScheduledJob,
     engine: CrowdsourcingEngine,
     cursor: usize,
@@ -441,7 +409,9 @@ impl JobScheduler {
     /// ```
     pub fn submit(&mut self, spec: ScheduledJob) -> JobId {
         let engine = CrowdsourcingEngine::new(spec.engine.clone());
+        let id = JobId(self.jobs.len());
         self.jobs.push(JobState {
+            id,
             spec,
             engine,
             cursor: 0,
@@ -453,7 +423,7 @@ impl JobScheduler {
             reclaimed_minutes: 0.0,
             answers_cancelled: 0,
         });
-        JobId(self.jobs.len() - 1)
+        id
     }
 
     /// Number of submitted jobs.
@@ -573,9 +543,25 @@ impl JobScheduler {
     /// assert_eq!(report.fleet.questions, 8);
     /// ```
     pub fn run_clocked<P: CrowdPlatform>(&mut self, platform: &mut P) -> Result<FleetReport> {
+        self.check_feasibility(self.ledger.roster_len())?;
+        let (seed, dispatches) = self.run_shard(0, platform)?;
+        Ok(self.report(dispatches, vec![seed]))
+    }
+
+    /// Run this scheduler's jobs to completion as shard `shard` of a fleet: the clocked
+    /// loop over one platform, one lease table and one [`SimClock`]. [`run_clocked`]
+    /// runs it as shard 0 and every [`run_parallel`] thread runs it over its own shard.
+    /// On error every in-flight HIT is cancelled before the error returns.
+    ///
+    /// [`run_clocked`]: Self::run_clocked
+    /// [`run_parallel`]: Self::run_parallel
+    fn run_shard<P: CrowdPlatform>(
+        &mut self,
+        shard: usize,
+        platform: &mut P,
+    ) -> Result<(ShardSeed, Vec<DispatchRecord>)> {
         // cdas-allow(determinism): wall-clock telemetry only feeds `wall_seconds`, which report equality ignores
         let started = Instant::now();
-        self.check_feasibility(self.ledger.roster_len())?;
         let mut clock = SimClock::new();
         let mut dispatches: Vec<DispatchRecord> = Vec::new();
         let mut inflight: Vec<ClockedInflight> = Vec::new();
@@ -591,9 +577,14 @@ impl JobScheduler {
                 let _ = platform.cancel(batch.collector.hit(), clock.now());
             }
         }
-        let ticks = result?;
-        let seed = self.seed_shard(ticks, clock.now(), started.elapsed().as_secs_f64());
-        Ok(self.report(ticks, dispatches, clock.now(), vec![seed]))
+        let seed = ShardSeed {
+            shard,
+            jobs: self.jobs.iter().map(|state| state.id).collect(),
+            ticks: result?,
+            makespan: clock.now(),
+            wall_seconds: started.elapsed().as_secs_f64(),
+        };
+        Ok((seed, dispatches))
     }
 
     /// Run the fleet **in parallel across OS threads**, one thread per shard of a
@@ -601,10 +592,12 @@ impl JobScheduler {
     ///
     /// Jobs are striped over shards round-robin by submission index (job `j` runs on
     /// shard `j % shards`), mirroring the round-robin worker partition of
-    /// [`ShardedPlatform::split`]. Each thread owns its platform shard, a sub-scheduler
-    /// over the shard's slice of this scheduler's roster, and runs **the same clocked
-    /// event loop as [`run_clocked`](Self::run_clocked)** — the sequential path is
-    /// literally the one-shard special case of this one, and on a fresh ledger a 1-shard
+    /// [`ShardedPlatform::split`]. Each job keeps its fleet-wide [`JobId`] on its shard,
+    /// so dispatch records, observer calls and job reports need no renumbering. Each
+    /// thread owns its platform shard and a sub-scheduler over the shard's slice of this
+    /// scheduler's roster, and runs **the same shard loop as
+    /// [`run_clocked`](Self::run_clocked)** — the sequential path is literally the
+    /// one-shard special case of this one, and on a fresh ledger a 1-shard
     /// `run_parallel` produces a byte-identical report (up to host wall-clock timings;
     /// see [`FleetReport::ignoring_wall_clock`]). The shard's ledger is built fresh from
     /// the parent's free workers in roster order, while which workers a lease draws
@@ -635,10 +628,11 @@ impl JobScheduler {
     ///
     /// Leases are RAII guards, so a shard thread that errors — or panics — releases its
     /// workers while unwinding; a panic is resurfaced after every other shard joined
-    /// *and every job state was reassembled* (partial progress included), so a caller
-    /// that catches it still holds a scheduler whose [`outcomes`](Self::outcomes) are
-    /// inspectable. An error aborts the fleet with the first failing shard's error after
-    /// all shards finished and every in-flight HIT of the failing shard was cancelled.
+    /// *and every shard handed its job states back* (partial progress included), so a
+    /// caller that catches it still holds a scheduler whose [`outcomes`](Self::outcomes)
+    /// are inspectable. An error aborts the fleet with the first failing shard's error
+    /// after all shards finished and every in-flight HIT of the failing shard was
+    /// cancelled.
     ///
     /// The returned [`FleetReport`] carries one [`ShardReport`] per thread
     /// (`report.shards`) and [`FleetReport::parallel_speedup`] summarizes what the
@@ -681,7 +675,7 @@ impl JobScheduler {
         if shard_count == 0 {
             // No shards can serve no jobs; anything else is exhaustion by definition.
             self.check_feasibility(0)?;
-            return Ok(self.report(0, Vec::new(), 0.0, Vec::new()));
+            return Ok(self.report(Vec::new(), Vec::new()));
         }
 
         // Each shard's slice of this scheduler's roster, in the parent ledger's
@@ -716,8 +710,9 @@ impl JobScheduler {
 
         // Build one sub-scheduler per shard and stripe the job states across them
         // (shard `s` owns jobs `s, s+n, s+2n, …`). The states are *moved*, not copied —
-        // the threads do the real work on the real jobs, and the parent reassembles them
-        // afterwards so `outcomes()` keeps working.
+        // the threads do the real work on the real jobs, and hand them back afterwards
+        // so `outcomes()` keeps working. Every state carries its fleet-wide id, so the
+        // shards report to this scheduler's observer directly.
         //
         // Each shard runs over its OWN registry, seeded from one pre-spawn snapshot of
         // the fleet registry, instead of writing into the live shared one. A live
@@ -729,12 +724,12 @@ impl JobScheduler {
         // join below.
         let shared = self.cache.shared().clone();
         let seed_registry = shared.snapshot();
-        let mut global: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         let mut subs: Vec<JobScheduler> = rosters
             .iter()
             .enumerate()
-            .map(|(s, roster)| {
-                JobScheduler::with_shared_registry(
+            .map(|(s, roster)| JobScheduler {
+                observer: self.observer.clone(),
+                ..JobScheduler::with_shared_registry(
                     SchedulerConfig {
                         seed: self.config.seed + s as u64,
                         ..self.config
@@ -744,46 +739,33 @@ impl JobScheduler {
                 )
             })
             .collect();
-        let total_jobs = self.jobs.len();
         for (j, state) in std::mem::take(&mut self.jobs).into_iter().enumerate() {
-            // `j % shard_count` is in range by construction; the striping tables and
-            // the sub-schedulers were both built with `shard_count` entries above.
-            if let Some(ids) = global.get_mut(j % shard_count) {
-                ids.push(j);
-            }
+            // `j % shard_count` is in range: there is one sub-scheduler per shard.
             if let Some(sub) = subs.get_mut(j % shard_count) {
                 sub.jobs.push(state);
             }
         }
-        if let Some(observer) = &self.observer {
-            // Each shard reports through a relabeling shim so the fleet-level observer
-            // (the journal) always sees global job ids. Calls from different shard
-            // threads interleave, but per-job order stays deterministic — which is all
-            // recovery matches on.
-            for (s, sub) in subs.iter_mut().enumerate() {
-                sub.observer = Some(Arc::new(ShardRelabel {
-                    inner: Arc::clone(observer),
-                    global: global.get(s).cloned().unwrap_or_default(),
-                }));
-            }
-        }
 
-        // One OS thread per shard, each running the same clocked event loop the
-        // sequential path runs. A panic inside a shard's run is caught *in the thread*
-        // so the sub-scheduler — and with it the job states — survives the unwind (the
-        // RAII lease guards release during it); the payload is re-raised from the parent
-        // only after every shard joined and every job state was reassembled, so a caller
-        // that catches the panic still holds a scheduler with all its jobs.
-        type ShardJoin = (std::thread::Result<Result<FleetReport>>, JobScheduler);
-        let outcomes: Vec<ShardJoin> = std::thread::scope(|scope| {
+        // One OS thread per shard, each running the shard loop `run_clocked` runs. A
+        // panic inside a shard's run is caught *in the thread* so the sub-scheduler —
+        // and with it the job states — survives the unwind (the RAII lease guards
+        // release during it); the payload is re-raised from the parent only after every
+        // shard joined and handed its job states back, so a caller that catches the
+        // panic still holds a scheduler with all its jobs.
+        type ShardJoin = (
+            std::thread::Result<Result<(ShardSeed, Vec<DispatchRecord>)>>,
+            JobScheduler,
+        );
+        let joined: Vec<ShardJoin> = std::thread::scope(|scope| {
             let handles: Vec<_> = platform
                 .shards_mut()
                 .iter_mut()
-                .zip(subs.drain(..))
-                .map(|(shard, mut sub)| {
+                .zip(subs)
+                .enumerate()
+                .map(|(s, (shard, mut sub))| {
                     scope.spawn(move || {
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            sub.run_clocked(shard.platform_mut())
+                            sub.run_shard(s, shard.platform_mut())
                         }));
                         (run, sub)
                     })
@@ -799,16 +781,12 @@ impl JobScheduler {
                 .collect()
         });
 
-        // Merge: reassemble job states in submission order (also on error, so partial
-        // outcomes stay inspectable), remap shard-local job ids to global ones, and fold
-        // the shard timelines together.
-        let mut slots: Vec<Option<JobState>> = (0..total_jobs).map(|_| None).collect();
+        // Merge in shard order: take every shard's job states back (also on error, so
+        // partial outcomes stay inspectable) and fold the shard timelines together.
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         let mut first_error: Option<CdasError> = None;
-        let mut merged_dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut shard_seeds: Vec<ShardSeed> = Vec::new();
-        let mut ticks = 0usize;
-        let mut makespan = 0.0f64;
+        let mut dispatches: Vec<DispatchRecord> = Vec::new();
+        let mut seeds: Vec<ShardSeed> = Vec::new();
         let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
         // The shards' learnings, collected in shard order and adopted into the fleet
         // registry after the loop: every entry that differs from the pre-spawn snapshot,
@@ -819,7 +797,7 @@ impl JobScheduler {
         // (`samples == 0`) therefore never replaces a sampled one; among injected
         // entries the last shard's wins. A panicked shard's learnings are kept too.
         let mut delta = AccuracyRegistry::new();
-        for (s, (result, sub)) in outcomes.into_iter().enumerate() {
+        for (result, sub) in joined {
             cache_hits += sub.cache.hits();
             cache_misses += sub.cache.misses();
             for (&worker, entry) in sub.cache.shared().snapshot().iter() {
@@ -833,75 +811,20 @@ impl JobScheduler {
                     delta.set(worker, entry.accuracy, entry.samples);
                 }
             }
-            for (local, state) in sub.jobs.into_iter().enumerate() {
-                // A failed lookup leaves the slot empty; the hole check below turns
-                // that into `SchedulerStalled` instead of a panic mid-merge.
-                let target = global.get(s).and_then(|ids| ids.get(local)).copied();
-                if let Some(slot) = target.and_then(|g| slots.get_mut(g)) {
-                    *slot = Some(state);
-                }
-            }
-            let result = match result {
-                Ok(result) => result,
-                Err(payload) => {
-                    first_panic = first_panic.or(Some(payload));
-                    continue;
-                }
-            };
+            self.jobs.extend(sub.jobs);
             match result {
-                Ok(shard_report) => {
-                    let (sub_ticks, sub_makespan) = (shard_report.ticks, shard_report.makespan);
-                    ticks += sub_ticks;
-                    makespan = makespan.max(sub_makespan);
-                    merged_dispatches.extend(shard_report.dispatches.into_iter().map(
-                        |mut dispatch| {
-                            let mapped = global.get(s).and_then(|ids| ids.get(dispatch.job.0));
-                            if let Some(&g) = mapped {
-                                dispatch.job = JobId(g);
-                            }
-                            dispatch
-                        },
-                    ));
-                    // A sequential sub-run reports exactly one shard rollup;
-                    // if that invariant ever breaks, fall back to the sub-run
-                    // totals instead of panicking the merge (only the
-                    // wall-clock split is unknowable then).
-                    let rollup = shard_report.shards.into_iter().next();
-                    shard_seeds.push(ShardSeed {
-                        shard: s,
-                        jobs: global
-                            .get(s)
-                            .into_iter()
-                            .flatten()
-                            .copied()
-                            .map(JobId)
-                            .collect(),
-                        ticks: rollup.as_ref().map_or(sub_ticks, |r| r.ticks),
-                        makespan: rollup.as_ref().map_or(sub_makespan, |r| r.makespan),
-                        wall_seconds: rollup.as_ref().map_or(0.0, |r| r.wall_seconds),
-                    });
+                Err(payload) => first_panic = first_panic.or(Some(payload)),
+                Ok(Err(e)) => first_error = first_error.or(Some(e)),
+                Ok(Ok((seed, shard_dispatches))) => {
+                    dispatches.extend(shard_dispatches);
+                    seeds.push(seed);
                 }
-                Err(e) => first_error = first_error.or(Some(e)),
             }
         }
         shared.adopt(&delta);
-        // Reassemble job states in submission order. Every slot is filled even
-        // when a shard panicked (the sub-scheduler survives the unwind and
-        // hands its jobs back above); a hole would mean the striping logic
-        // itself broke, which surfaces as an error rather than a panic so the
-        // caller still gets a scheduler with the states that did return.
-        let mut jobs = Vec::with_capacity(total_jobs);
-        let mut missing = 0usize;
-        for state in slots {
-            match state {
-                Some(state) => jobs.push(state),
-                None => missing += 1,
-            }
-        }
-        self.jobs = jobs;
-        if missing > 0 {
-            first_error = first_error.or(Some(CdasError::SchedulerStalled { ticks }));
-        }
+        // Every shard handed its states back, a panicked one included, so sorting by
+        // id restores submission order.
+        self.jobs.sort_by_key(|state| state.id);
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
@@ -910,11 +833,21 @@ impl JobScheduler {
         }
         // Shard timelines are independent; a stable sort by simulated time gives one
         // fleet-wide timeline (and leaves a 1-shard run's order untouched).
-        merged_dispatches.sort_by(|a, b| a.at.total_cmp(&b.at));
-        let mut report = self.report(ticks, merged_dispatches, makespan, shard_seeds);
+        dispatches.sort_by(|a, b| a.at.total_cmp(&b.at));
+        let mut report = self.report(dispatches, seeds);
         report.cache_hits = cache_hits;
         report.cache_misses = cache_misses;
         Ok(report)
+    }
+
+    /// The roster length of the shard [`run_parallel`](Self::run_parallel) runs job
+    /// `job` on, for a crowd of `workers` split `shards` ways before any platform is
+    /// built: job `j` runs on shard `j % shards`, and
+    /// [`WorkerPool::partition`](cdas_crowd::pool::WorkerPool::partition) deals worker
+    /// `i` to shard `i % shards`.
+    pub(crate) fn striped_roster_len(job: usize, shards: usize, workers: usize) -> usize {
+        let shards = shards.max(1);
+        workers / shards + usize::from(job % shards < workers % shards)
     }
 
     /// The discrete-event loop of [`run_clocked`](Self::run_clocked). On error, in-flight
@@ -1078,8 +1011,10 @@ impl JobScheduler {
                 let charged = platform.total_cost() - cost_before;
                 entry.collector.record_charge(charged);
                 if charged != 0.0 {
-                    if let Some(observer) = &self.observer {
-                        observer.on_charge(JobId(entry.job), hit, charged, poll_at);
+                    if let (Some(observer), Some(state)) =
+                        (&self.observer, self.jobs.get(entry.job))
+                    {
+                        observer.on_charge(state.id, hit, charged, poll_at);
                     }
                 }
                 let terminated =
@@ -1126,21 +1061,22 @@ impl JobScheduler {
                 };
                 state.reclaimed_minutes += clocked.reclaimed_minutes;
                 state.answers_cancelled += clocked.answers_cancelled;
+                let commit = BatchCommit {
+                    job: state.id,
+                    seq: state.runs.len(),
+                    hit,
+                    range: batch.range,
+                    completed_at: clocked.completed_at,
+                    first_verdict_at: clocked.first_verdict_at,
+                    reclaimed_minutes: clocked.reclaimed_minutes,
+                    answers_cancelled: clocked.answers_cancelled,
+                    cancelled: clocked.cancelled,
+                    outcome: clocked.outcome,
+                };
                 if let Some(observer) = &self.observer {
-                    observer.on_commit(&BatchCommit {
-                        job: JobId(batch.job),
-                        seq: state.runs.len(),
-                        hit,
-                        range: batch.range.clone(),
-                        completed_at: clocked.completed_at,
-                        first_verdict_at: clocked.first_verdict_at,
-                        reclaimed_minutes: clocked.reclaimed_minutes,
-                        answers_cancelled: clocked.answers_cancelled,
-                        cancelled: clocked.cancelled,
-                        outcome: clocked.outcome.clone(),
-                    });
+                    observer.on_commit(&commit);
                 }
-                state.runs.push((batch.range, clocked.outcome));
+                state.runs.push((commit.range, commit.outcome));
             }
         }
         Ok(ticks)
@@ -1183,7 +1119,7 @@ impl JobScheduler {
                     .publish_batch_to(platform, batch, lease.workers())?;
                 let record = DispatchRecord {
                     tick,
-                    job: JobId(idx),
+                    job: state.id,
                     hit: ticket.hit,
                     workers: lease.workers().to_vec(),
                     at,
@@ -1216,33 +1152,17 @@ impl JobScheduler {
         Ok(())
     }
 
-    /// The facts a run loop knows about one shard; [`JobScheduler::report`] fills in the
-    /// scored totals ([`ShardReport::questions`], cost, reclaimed minutes) from the
-    /// per-job reports it builds anyway, so nothing is scored twice.
-    fn seed_shard(&self, ticks: usize, makespan: f64, wall_seconds: f64) -> ShardSeed {
-        ShardSeed {
-            shard: 0,
-            jobs: (0..self.jobs.len()).map(JobId).collect(),
-            ticks,
-            makespan,
-            wall_seconds,
-        }
-    }
-
-    /// Assemble the fleet report from completed job states.
-    fn report(
-        &self,
-        ticks: usize,
-        dispatches: Vec<DispatchRecord>,
-        makespan: f64,
-        shards: Vec<ShardSeed>,
-    ) -> FleetReport {
+    /// Assemble the fleet report from completed job states and the shards that ran
+    /// them. Shards are independent simulated timelines: the fleet's ticks are their
+    /// sum and its makespan their maximum.
+    fn report(&self, dispatches: Vec<DispatchRecord>, shards: Vec<ShardSeed>) -> FleetReport {
+        let ticks = shards.iter().map(|seed| seed.ticks).sum();
+        let makespan = shards.iter().map(|seed| seed.makespan).fold(0.0, f64::max);
         let jobs: Vec<JobReport> = self
             .jobs
             .iter()
-            .enumerate()
-            .map(|(idx, state)| JobReport {
-                job: JobId(idx),
+            .map(|state| JobReport {
+                job: state.id,
                 name: state.spec.job.name.clone(),
                 kind: state.spec.job.kind,
                 priority: state.spec.priority,
@@ -1820,6 +1740,23 @@ mod tests {
             assert_eq!(idle.questions, 0);
             assert_eq!(idle.ticks, 0);
             assert!(idle.jobs.is_empty());
+        }
+    }
+
+    #[test]
+    fn striped_roster_len_is_the_roster_of_the_jobs_shard() {
+        for workers in 1..=40 {
+            let crowd = cdas_crowd::spec::CrowdSpec::clean(workers, 0.8);
+            for shards in 1..=workers.min(8) {
+                let platform = crowd.build_sharded(shards);
+                for job in 0..2 * shards {
+                    assert_eq!(
+                        JobScheduler::striped_roster_len(job, shards, workers),
+                        platform.shards()[job % shards].roster().len(),
+                        "job {job} of a {workers}-worker crowd on {shards} shards"
+                    );
+                }
+            }
         }
     }
 

@@ -60,6 +60,7 @@ use cdas_core::{CdasError, Result};
 use crate::fleet::{validate_crowd, ExecutionMode, Fleet, FleetEvent, FleetFailpoints, JobSpec};
 use crate::journal::{Journal, JournalConfig, JournalRecord, RecoveryReport};
 use crate::metrics::FleetReport;
+use crate::scheduler::JobScheduler;
 
 pub use admission::{AdmissionDecision, AdmissionForecast, AdmissionModel};
 pub use manifest::{ManifestReplay, ServiceConfig, ServiceSubmission};
@@ -491,9 +492,7 @@ impl FleetService {
                         .submissions
                         .get(t as usize)
                         .map_or(usize::MAX, |s| s.forecast.workers_per_hit);
-                    let shard = i % shards;
-                    let roster = workers / shards + usize::from(shard < workers % shards);
-                    needed <= roster
+                    needed <= JobScheduler::striped_roster_len(i, shards, workers)
                 })
             })
             .unwrap_or(1)
