@@ -549,12 +549,9 @@ impl JobScheduler {
     }
 
     /// Run this scheduler's jobs to completion as shard `shard` of a fleet: the clocked
-    /// loop over one platform, one lease table and one [`SimClock`]. [`run_clocked`]
-    /// runs it as shard 0 and every [`run_parallel`] thread runs it over its own shard.
-    /// On error every in-flight HIT is cancelled before the error returns.
-    ///
-    /// [`run_clocked`]: Self::run_clocked
-    /// [`run_parallel`]: Self::run_parallel
+    /// loop over one platform, one lease table and one [`SimClock`]. Both
+    /// [`run_clocked`](Self::run_clocked) and every [`run_parallel`](Self::run_parallel)
+    /// thread run it. On error every in-flight HIT is cancelled before the error returns.
     fn run_shard<P: CrowdPlatform>(
         &mut self,
         shard: usize,
@@ -596,8 +593,9 @@ impl JobScheduler {
     /// so dispatch records, observer calls and job reports need no renumbering. Each
     /// thread owns its platform shard and a sub-scheduler over the shard's slice of this
     /// scheduler's roster, and runs **the same shard loop as
-    /// [`run_clocked`](Self::run_clocked)** — the sequential path is literally the
-    /// one-shard special case of this one, and on a fresh ledger a 1-shard
+    /// [`run_clocked`](Self::run_clocked)** (the private `run_shard`, which hands back
+    /// the shard's timeline instead of a scored report) — the sequential path is
+    /// literally the one-shard special case of this one, and on a fresh ledger a 1-shard
     /// `run_parallel` produces a byte-identical report (up to host wall-clock timings;
     /// see [`FleetReport::ignoring_wall_clock`]). The shard's ledger is built fresh from
     /// the parent's free workers in roster order, while which workers a lease draws
