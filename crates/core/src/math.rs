@@ -59,11 +59,22 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
 ///
 /// Empty input yields negative infinity (the log of zero).
 pub fn log_sum_exp(values: &[f64]) -> f64 {
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    log_sum_exp_iter(values.iter().copied())
+}
+
+/// [`log_sum_exp`] over any sequence that can be walked twice: one pass finds the
+/// maximum, a second sums the shifted exponentials in sequence order. It allocates
+/// nothing, and over the same values in the same order it is bit-identical to the
+/// slice form, which is this function over the slice.
+pub fn log_sum_exp_iter<I>(values: I) -> f64
+where
+    I: Iterator<Item = f64> + Clone,
+{
+    let max = values.clone().fold(f64::NEG_INFINITY, f64::max);
     if max == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }
-    let sum: f64 = values.iter().map(|&v| (v - max).exp()).sum();
+    let sum: f64 = values.map(|v| (v - max).exp()).sum();
     max + sum.ln()
 }
 

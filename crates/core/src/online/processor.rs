@@ -112,16 +112,27 @@ impl OnlineProcessor {
         self.terminated_at.is_some()
     }
 
-    /// Consume one answer and return the refreshed outcome (one iteration of the
-    /// `while not all answers are returned` loop of Algorithm 5).
+    /// Fold one answer into the running sums and decide termination (one iteration of
+    /// the `while not all answers are returned` loop of Algorithm 5). Returns whether
+    /// the termination condition has fired, now or at an earlier answer.
+    ///
+    /// This is the engine's per-answer step: it builds no ranking, and it allocates only
+    /// to grow the observation and the sums, or to rebuild the sums when the effective
+    /// domain changes. The effective domain is read from the number of distinct labels,
+    /// which the sums' keys already hold, so an estimated domain costs no pass over the
+    /// votes.
     ///
     /// Answers arriving after termination are still folded into the confidence estimate
     /// (the platform may deliver them before the cancellation takes effect) but do not
     /// reset the termination point.
-    pub fn consume(&mut self, vote: Vote) -> Result<OnlineOutcome> {
+    pub fn observe(&mut self, vote: Vote) -> bool {
+        let fresh = !self.sums.contains_key(&vote.label);
+        let m = self
+            .termination
+            .partial
+            .domain_for(self.sums.len() + usize::from(fresh));
         let (label, accuracy) = (vote.label.clone(), vote.accuracy());
         self.observation.push(vote);
-        let m = self.termination.partial.effective_domain(&self.observation);
         if m == self.sums_domain {
             // Delta path: `summed_confidences` folds votes in arrival order with this
             // same `+=`, so appending one term is bit-identical to recomputing.
@@ -132,68 +143,70 @@ impl OnlineProcessor {
             self.sums = summed_confidences(&self.observation, m);
             self.sums_domain = m;
         }
-        let ranking = ranked_from_sums(&self.sums, m);
+        // The observation is non-empty, so the decision cannot fail.
         if self.terminated_at.is_none()
-            && self
-                .termination
-                .should_terminate_from_sums(&self.observation, &self.sums)?
+            && matches!(
+                self.termination
+                    .should_terminate_from_sums(&self.observation, &self.sums),
+                Ok(true)
+            )
         {
             self.terminated_at = Some(self.observation.len());
         }
-        Ok(OnlineOutcome {
-            best: ranking.first().cloned(),
-            ranking,
-            answers_received: self.observation.len(),
-            terminated: self.is_terminated(),
-        })
+        self.is_terminated()
+    }
+
+    /// [`observe`](Self::observe) one answer and return the refreshed outcome with the
+    /// confidence ranking, for callers that display it.
+    pub fn consume(&mut self, vote: Vote) -> Result<OnlineOutcome> {
+        self.observe(vote);
+        Ok(self.outcome(ranked_from_sums(&self.sums, self.sums_domain)))
     }
 
     /// Current outcome without consuming a new answer.
     pub fn current(&self) -> Result<OnlineOutcome> {
         if self.observation.is_empty() {
-            return Ok(OnlineOutcome {
-                best: None,
-                ranking: Vec::new(),
-                answers_received: 0,
-                terminated: false,
-            });
+            return Ok(self.outcome(Vec::new()));
         }
         let m = self.termination.partial.effective_domain(&self.observation);
-        // After any consume the running sums match the observation; the from-scratch
+        // After any observe the running sums match the observation; the from-scratch
         // fallback only covers a domain reconfigured since (e.g. `with_domain_size`).
         let ranking = if m == self.sums_domain {
             ranked_from_sums(&self.sums, m)
         } else {
             self.termination.partial.confidences(&self.observation)?
         };
-        Ok(OnlineOutcome {
+        Ok(self.outcome(ranking))
+    }
+
+    /// The outcome at the current answer count with the given ranking.
+    fn outcome(&self, ranking: Vec<(Label, f64)>) -> OnlineOutcome {
+        OnlineOutcome {
             best: ranking.first().cloned(),
             ranking,
             answers_received: self.observation.len(),
             terminated: self.is_terminated(),
-        })
+        }
     }
 
     /// Run the processor over a full answer sequence, stopping at the first termination
     /// point, and return the final outcome together with the number of answers consumed.
     ///
-    /// This is the batch counterpart used by the experiment harness; `consume` is the
+    /// This is the batch counterpart used by the experiment harness; `observe` is the
     /// streaming interface used by the engine.
     pub fn run_until_termination(
         &mut self,
         answers: impl IntoIterator<Item = Vote>,
     ) -> Result<OnlineOutcome> {
-        let mut last = self.current()?;
         for vote in answers {
-            last = self.consume(vote)?;
-            if last.terminated {
+            if self.observe(vote) {
                 break;
             }
         }
-        if last.answers_received == 0 {
+        if self.observation.is_empty() {
             return Err(CdasError::EmptyObservation);
         }
-        Ok(last)
+        self.current()
     }
 }
 
@@ -383,9 +396,11 @@ mod proptests {
 
     /// Assert that after every prefix of `votes`, the delta-maintained state of a
     /// processor equals from-scratch recomputation **bitwise**: running sums, ranking,
-    /// and the termination decision. `domain` fixes `m` (the scheduler's usual mode);
-    /// `None` estimates it per observation, exercising the rebuild-on-domain-change
-    /// path every time a new distinct label arrives.
+    /// and the termination decision. A second processor fed through `observe` must
+    /// agree with the `consume`-fed one on the termination point and the running sums.
+    /// `domain` fixes `m` (the scheduler's usual mode); `None` estimates it per
+    /// observation, exercising the rebuild-on-domain-change path every time a new
+    /// distinct label arrives.
     fn assert_prefixes_match_from_scratch(
         votes: &[Vote],
         mu: f64,
@@ -403,9 +418,20 @@ mod proptests {
         if let Some(m) = domain {
             p = p.with_domain_size(m);
         }
+        let mut observed = p.clone();
         let mut oracle_terminated_at = None;
         for (i, vote) in votes.iter().enumerate() {
             let outcome = p.consume(vote.clone()).unwrap();
+            let terminated = observed.observe(vote.clone());
+            prop_assert_eq!(terminated, outcome.terminated);
+            prop_assert_eq!(observed.terminated_at(), p.terminated_at());
+            let sum_bits = |q: &OnlineProcessor| -> Vec<(Label, u64)> {
+                q.confidence_sums()
+                    .iter()
+                    .map(|(l, s)| (l.clone(), s.to_bits()))
+                    .collect()
+            };
+            prop_assert_eq!(sum_bits(&observed), sum_bits(&p));
             let prefix = Observation::from_votes(votes[..=i].to_vec());
             let m = oracle.partial.effective_domain(&prefix);
 

@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{CdasError, Result};
-use crate::math::log_sum_exp;
+use crate::math::log_sum_exp_iter;
 use crate::online::partial::PartialConfidence;
 use crate::types::{Label, Observation};
-use crate::verification::confidence::summed_confidences;
+use crate::verification::confidence::{desc_nan_last, summed_confidences, worker_confidence};
 
 /// The three early-termination strategies of §4.2.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,11 +109,16 @@ impl TerminationConfig {
 
     /// [`bounds`](Self::bounds) over **precomputed** summed confidences.
     ///
-    /// `sums` must be the per-label summed confidences of `observation` under its
-    /// current [`PartialConfidence::effective_domain`] — exactly what
-    /// [`summed_confidences`] returns, or what an incremental accumulator maintains by
-    /// applying one `+=` delta per vote (the two agree bitwise because
-    /// [`summed_confidences`] itself folds votes in arrival order).
+    /// `sums` must be the per-label summed confidences of `observation`: one key per
+    /// distinct label of the observation, holding exactly what [`summed_confidences`]
+    /// returns under the current [`PartialConfidence::effective_domain`], or what an
+    /// incremental accumulator maintains by applying one `+=` delta per vote (the two
+    /// agree bitwise because [`summed_confidences`] itself folds votes in arrival
+    /// order). Under that contract the domain size `m` is taken from `sums.len()`, so an
+    /// estimated domain costs no pass over the votes; of the observation only its length
+    /// is read. The leader and runner-up are picked in one pass under the ranking's
+    /// total order (descending, NaN last, ties by label), and both log-sum-exps run over
+    /// iterators, so nothing is allocated.
     pub fn bounds_from_sums(
         &self,
         observation: &Observation,
@@ -122,32 +127,47 @@ impl TerminationConfig {
         if observation.is_empty() {
             return Err(CdasError::EmptyObservation);
         }
-        let m = self.partial.effective_domain(observation);
-        let remaining = self.partial.remaining(observation);
-        let unseen_confidence = self.partial.unseen_worker_confidence(observation);
-        let ranked = rank(sums);
         // Non-empty observation (checked above) means at least one label.
-        let (best, _best_sum) = ranked.first().cloned().ok_or(CdasError::EmptyObservation)?;
+        let ((best, best_sum), runner_up) =
+            leader_and_runner_up(sums).ok_or(CdasError::EmptyObservation)?;
         // The runner-up is the second observed answer; when every vote agrees, the
         // adversarial completion targets a fresh (never observed) answer with sum 0.
-        let (second, second_sum) = ranked
-            .get(1)
-            .cloned()
-            .map(|(l, s)| (Some(l), s))
-            .unwrap_or((None, 0.0));
+        let (second, second_sum) = match runner_up {
+            Some((label, sum)) => (Some(label), sum),
+            None => (None, 0.0),
+        };
+        let k = sums.len();
+        let m = self.partial.domain_for(k);
+        let remaining = self.partial.remaining(observation);
 
-        let current = current_probabilities(sums, m, &best, second.as_ref());
-        // Adversarial completion: the remaining workers all vote for the runner-up.
-        let boosted_second_sum = second_sum + remaining as f64 * unseen_confidence;
-        let worst = completed_probabilities(sums, m, second.as_ref(), boosted_second_sum, &best);
+        // Current confidences: the observed sums plus a unit weight for each of the
+        // `m − k` never-voted answers (an unobserved runner-up has sum 0, weight 1).
+        let m_now = m.max(k).max(2);
+        let unvoted = (m_now > k).then(|| ((m_now - k) as f64).ln());
+        let denom = log_sum_exp_iter(sums.values().copied().chain(unvoted));
+        let best_current = (best_sum - denom).exp();
+        let second_current = (second_sum - denom).exp();
+
+        // Adversarial completion: the remaining workers all vote for the runner-up with
+        // the population-mean accuracy. A never-observed runner-up becomes observed.
+        let boosted =
+            second_sum + remaining as f64 * worker_confidence(self.partial.mean_accuracy, m);
+        let k_done = if second.is_some() { k } else { k + 1 };
+        let m_done = m.max(k_done).max(2);
+        let completed = sums
+            .iter()
+            .map(|(label, &sum)| if Some(label) == second { boosted } else { sum })
+            .chain(second.is_none().then_some(boosted))
+            .chain((m_done > k_done).then(|| ((m_done - k_done) as f64).ln()));
+        let denom = log_sum_exp_iter(completed);
 
         Ok(TerminationBounds {
-            best,
-            second,
-            best_current: current.0,
-            second_current: current.1,
-            best_worst_case: worst.0,
-            second_best_case: worst.1,
+            best: best.clone(),
+            second: second.cloned(),
+            best_current,
+            second_current,
+            best_worst_case: (best_sum - denom).exp(),
+            second_best_case: (boosted - denom).exp(),
             remaining,
         })
     }
@@ -185,85 +205,158 @@ impl TerminationConfig {
     }
 }
 
-/// Sort summed confidences descending (ties by label order). The shared total comparator
-/// keeps a NaN summed confidence — a degenerate accuracy that slipped past clamping — from
-/// panicking the online path mid-HIT: NaN sums order last, never leading.
-fn rank(sums: &BTreeMap<Label, f64>) -> Vec<(Label, f64)> {
-    let mut v: Vec<(Label, f64)> = sums.iter().map(|(l, s)| (l.clone(), *s)).collect();
-    crate::verification::confidence::sort_by_confidence_desc(&mut v);
-    v
-}
+/// A ranked entry: a label and its summed confidence.
+type Entry<'a> = (&'a Label, f64);
 
-/// `(P(best|Ω′), P(second|Ω′))` under the current observation.
-fn current_probabilities(
-    sums: &BTreeMap<Label, f64>,
-    m: usize,
-    best: &Label,
-    second: Option<&Label>,
-) -> (f64, f64) {
-    let k = sums.len();
-    let m = m.max(k).max(2);
-    let mut terms: Vec<f64> = sums.values().copied().collect();
-    if m > k {
-        terms.push(((m - k) as f64).ln());
-    }
-    let denom = log_sum_exp(&terms);
-    let p_best = (sum_of(sums, best) - denom).exp();
-    let p_second = match second {
-        Some(l) => (sum_of(sums, l) - denom).exp(),
-        // Unobserved runner-up: summed confidence 0 → weight e^0 = 1.
-        None => (0.0 - denom).exp(),
-    };
-    (p_best, p_second)
-}
-
-/// Summed confidence of `label`, treating an absent label as `-inf` (weight
-/// `e^{-inf} = 0`). `best`/`second` always come from `sums`' own keys, so the
-/// fallback only guards against a caller passing a foreign label.
-fn sum_of(sums: &BTreeMap<Label, f64>, label: &Label) -> f64 {
-    sums.get(label).copied().unwrap_or(f64::NEG_INFINITY)
-}
-
-/// `(min P(best|Ω), max P(second|Ω))` under the adversarial completion in which every
-/// outstanding worker votes for the runner-up, raising its summed confidence to
-/// `boosted_second_sum`.
-fn completed_probabilities(
-    sums: &BTreeMap<Label, f64>,
-    m: usize,
-    second: Option<&Label>,
-    boosted_second_sum: f64,
-    best: &Label,
-) -> (f64, f64) {
-    let k_observed = sums.len();
-    // If the runner-up is a never-observed answer, it becomes observed in the completion.
-    let k = if second.is_some() {
-        k_observed
-    } else {
-        k_observed + 1
-    };
-    let m = m.max(k).max(2);
-    let mut terms: Vec<f64> = Vec::with_capacity(k + 1);
-    for (label, &s) in sums {
-        if Some(label) == second {
-            terms.push(boosted_second_sum);
-        } else {
-            terms.push(s);
+/// The leader and runner-up of `sums`: the first two entries of the descending
+/// ranking, found in one pass instead of sorting a copy. The ranking's order is total —
+/// descending sums, NaN last (a degenerate accuracy that slipped past clamping must
+/// never lead, nor panic the online path mid-HIT), ties by label — so the two picks are
+/// exactly the first two entries a sort would yield. `None` for empty sums.
+fn leader_and_runner_up(sums: &BTreeMap<Label, f64>) -> Option<(Entry<'_>, Option<Entry<'_>>)> {
+    let ahead =
+        |a: Entry<'_>, b: Entry<'_>| desc_nan_last(a.1, b.1).then_with(|| a.0.cmp(b.0)).is_lt();
+    let mut entries = sums.iter().map(|(label, &sum)| (label, sum));
+    let mut best = entries.next()?;
+    let mut second = None;
+    for entry in entries {
+        if ahead(entry, best) {
+            second = Some(best);
+            best = entry;
+        } else if second.map_or(true, |runner_up| ahead(entry, runner_up)) {
+            second = Some(entry);
         }
     }
-    if second.is_none() {
-        terms.push(boosted_second_sum);
+    Some((best, second))
+}
+
+/// The pre-one-pass form of [`TerminationConfig::bounds_from_sums`], kept as the
+/// oracle the production form is property-tested against: a sorted copy of the sums,
+/// log-sum-exp over materialized term vectors, and `m` read from the observation.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::verification::confidence::sort_by_confidence_desc;
+
+    /// Sort summed confidences descending (ties by label order, NaN last).
+    pub(super) fn rank(sums: &BTreeMap<Label, f64>) -> Vec<(Label, f64)> {
+        let mut v: Vec<(Label, f64)> = sums.iter().map(|(l, s)| (l.clone(), *s)).collect();
+        sort_by_confidence_desc(&mut v);
+        v
     }
-    if m > k {
-        terms.push(((m - k) as f64).ln());
+
+    /// Stable `log(Σ exp(x_i))` over a slice, computed as production did before the
+    /// iterator form.
+    fn log_sum_exp(values: &[f64]) -> f64 {
+        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if max == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        let sum: f64 = values.iter().map(|&v| (v - max).exp()).sum();
+        max + sum.ln()
     }
-    let denom = log_sum_exp(&terms);
-    let p_best = (sum_of(sums, best) - denom).exp();
-    let p_second = (boosted_second_sum - denom).exp();
-    (p_best, p_second)
+
+    /// The bounds of `observation` under `cfg`, from its summed confidences `sums`.
+    pub(super) fn bounds_from_sums(
+        cfg: &TerminationConfig,
+        observation: &Observation,
+        sums: &BTreeMap<Label, f64>,
+    ) -> Result<TerminationBounds> {
+        if observation.is_empty() {
+            return Err(CdasError::EmptyObservation);
+        }
+        let m = cfg.partial.effective_domain(observation);
+        let remaining = cfg.partial.remaining(observation);
+        let unseen_confidence = cfg.partial.unseen_worker_confidence(observation);
+        let ranked = rank(sums);
+        let (best, _best_sum) = ranked.first().cloned().ok_or(CdasError::EmptyObservation)?;
+        let (second, second_sum) = ranked
+            .get(1)
+            .cloned()
+            .map(|(l, s)| (Some(l), s))
+            .unwrap_or((None, 0.0));
+
+        let current = current_probabilities(sums, m, &best, second.as_ref());
+        let boosted_second_sum = second_sum + remaining as f64 * unseen_confidence;
+        let worst = completed_probabilities(sums, m, second.as_ref(), boosted_second_sum, &best);
+
+        Ok(TerminationBounds {
+            best,
+            second,
+            best_current: current.0,
+            second_current: current.1,
+            best_worst_case: worst.0,
+            second_best_case: worst.1,
+            remaining,
+        })
+    }
+
+    /// `(P(best|Ω′), P(second|Ω′))` under the current observation.
+    fn current_probabilities(
+        sums: &BTreeMap<Label, f64>,
+        m: usize,
+        best: &Label,
+        second: Option<&Label>,
+    ) -> (f64, f64) {
+        let k = sums.len();
+        let m = m.max(k).max(2);
+        let mut terms: Vec<f64> = sums.values().copied().collect();
+        if m > k {
+            terms.push(((m - k) as f64).ln());
+        }
+        let denom = log_sum_exp(&terms);
+        let p_best = (sum_of(sums, best) - denom).exp();
+        let p_second = match second {
+            Some(l) => (sum_of(sums, l) - denom).exp(),
+            None => (0.0 - denom).exp(),
+        };
+        (p_best, p_second)
+    }
+
+    /// Summed confidence of `label`, `-inf` when absent.
+    fn sum_of(sums: &BTreeMap<Label, f64>, label: &Label) -> f64 {
+        sums.get(label).copied().unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// `(min P(best|Ω), max P(second|Ω))` under the adversarial completion.
+    fn completed_probabilities(
+        sums: &BTreeMap<Label, f64>,
+        m: usize,
+        second: Option<&Label>,
+        boosted_second_sum: f64,
+        best: &Label,
+    ) -> (f64, f64) {
+        let k_observed = sums.len();
+        let k = if second.is_some() {
+            k_observed
+        } else {
+            k_observed + 1
+        };
+        let m = m.max(k).max(2);
+        let mut terms: Vec<f64> = Vec::with_capacity(k + 1);
+        for (label, &s) in sums {
+            if Some(label) == second {
+                terms.push(boosted_second_sum);
+            } else {
+                terms.push(s);
+            }
+        }
+        if second.is_none() {
+            terms.push(boosted_second_sum);
+        }
+        if m > k {
+            terms.push(((m - k) as f64).ln());
+        }
+        let denom = log_sum_exp(&terms);
+        let p_best = (sum_of(sums, best) - denom).exp();
+        let p_second = (boosted_second_sum - denom).exp();
+        (p_best, p_second)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::rank;
     use super::*;
     use crate::types::{Vote, WorkerId};
 
@@ -420,6 +513,11 @@ mod tests {
         let ranked = rank(&sums);
         assert_eq!(ranked[0].0.as_str(), "solid");
         assert!(ranked[1].1.is_nan());
+        // The production one-pass pick agrees with the sorted oracle.
+        let observation = obs(&[("nanny", 0.6), ("solid", 0.8)]);
+        let bounds = cfg.bounds_from_sums(&observation, &sums).unwrap();
+        assert_eq!(bounds.best.as_str(), "solid");
+        assert_eq!(bounds.second.unwrap().as_str(), "nanny");
     }
 
     #[test]
@@ -471,6 +569,39 @@ mod proptests {
             })
     }
 
+    /// Partial observations whose accuracies often repeat (so summed confidences tie)
+    /// and are sometimes NaN (which `Vote::new` clamps to the neutral 0.5).
+    fn oracle_partial() -> impl Strategy<Value = (Observation, usize)> {
+        let label = prop_oneof![Just("a"), Just("b"), Just("c")];
+        let accuracy = prop_oneof![0.55f64..0.95, Just(0.7), Just(0.9), Just(f64::NAN)];
+        (prop::collection::vec((label, accuracy), 1..10), 10usize..20).prop_map(|(entries, n)| {
+            let observation = Observation::from_votes(
+                entries
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (l, a))| Vote::new(WorkerId(i as u64), Label::from(l), a))
+                    .collect(),
+            );
+            (observation, n)
+        })
+    }
+
+    /// Every field of the bounds, floats as raw bits.
+    fn bits(b: &TerminationBounds) -> (Label, Option<Label>, [u64; 4], usize) {
+        let probabilities = [
+            b.best_current,
+            b.second_current,
+            b.best_worst_case,
+            b.second_best_case,
+        ];
+        (
+            b.best.clone(),
+            b.second.clone(),
+            probabilities.map(f64::to_bits),
+            b.remaining,
+        )
+    }
+
     proptest! {
         /// MinMax is the most conservative strategy: it never fires when the others don't.
         #[test]
@@ -494,22 +625,43 @@ mod proptests {
         }
 
         /// The sums-accepting variants (the incremental hot path) equal the from-scratch
-        /// forms bit for bit, for every strategy.
+        /// forms bit for bit, and the one-pass `bounds_from_sums` equals the sorted-copy
+        /// oracle field by field, for every strategy, fixed and estimated domains, tied
+        /// sums, NaN accuracies and NaN sums.
         #[test]
-        fn sums_variants_match_from_scratch((observation, n) in arbitrary_partial(), mu in 0.6f64..0.9) {
-            let partial = PartialConfidence::new(n, mu).unwrap().with_domain_size(3);
-            for strategy in TerminationStrategy::ALL {
-                let cfg = TerminationConfig::new(strategy, partial);
-                let m = cfg.partial.effective_domain(&observation);
-                let sums = summed_confidences(&observation, m);
-                prop_assert_eq!(
-                    cfg.bounds_from_sums(&observation, &sums).unwrap(),
-                    cfg.bounds(&observation).unwrap()
-                );
-                prop_assert_eq!(
-                    cfg.should_terminate_from_sums(&observation, &sums).unwrap(),
-                    cfg.should_terminate(&observation).unwrap()
-                );
+        fn sums_variants_match_from_scratch((observation, n) in oracle_partial(), mu in 0.6f64..0.9) {
+            for domain in [Some(3), None] {
+                let mut partial = PartialConfidence::new(n, mu).unwrap();
+                if let Some(m) = domain {
+                    partial = partial.with_domain_size(m);
+                }
+                for strategy in TerminationStrategy::ALL {
+                    let cfg = TerminationConfig::new(strategy, partial);
+                    let m = cfg.partial.effective_domain(&observation);
+                    let sums = summed_confidences(&observation, m);
+                    prop_assert_eq!(
+                        cfg.bounds_from_sums(&observation, &sums).unwrap(),
+                        cfg.bounds(&observation).unwrap()
+                    );
+                    prop_assert_eq!(
+                        cfg.should_terminate_from_sums(&observation, &sums).unwrap(),
+                        cfg.should_terminate(&observation).unwrap()
+                    );
+                    // A NaN sum (clamping bypassed) must rank last in both forms too.
+                    let mut poisoned = sums.clone();
+                    if let Some(sum) = poisoned.values_mut().next() {
+                        *sum = f64::NAN;
+                    }
+                    for sums in [&sums, &poisoned] {
+                        let fast = cfg.bounds_from_sums(&observation, sums).unwrap();
+                        let oracle = oracle::bounds_from_sums(&cfg, &observation, sums).unwrap();
+                        prop_assert_eq!(bits(&fast), bits(&oracle), "domain {:?}", domain);
+                        prop_assert_eq!(
+                            cfg.should_terminate_from_sums(&observation, sums).unwrap(),
+                            cfg.decide(oracle).unwrap()
+                        );
+                    }
+                }
             }
         }
 

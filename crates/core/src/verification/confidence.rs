@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::math::{clamp_probability, log_sum_exp};
+use crate::math::{clamp_probability, log_sum_exp_iter};
 use crate::types::{Label, Observation};
 
 /// Sort `(label, value)` pairs by descending value with a **total** comparator, breaking
@@ -73,11 +73,8 @@ pub fn ranked_from_sums(sums: &BTreeMap<Label, f64>, m: usize) -> Vec<(Label, f6
     let k = sums.len();
     let m = m.max(k).max(2);
     // Denominator in log space: LSE over observed sums plus (m − k) unit terms.
-    let mut terms: Vec<f64> = sums.values().copied().collect();
-    if m > k {
-        terms.push(((m - k) as f64).ln());
-    }
-    let log_denominator = log_sum_exp(&terms);
+    let unvoted = (m > k).then(|| ((m - k) as f64).ln());
+    let log_denominator = log_sum_exp_iter(sums.values().copied().chain(unvoted));
     let mut ranked: Vec<(Label, f64)> = sums
         .iter()
         .map(|(l, &s)| (l.clone(), (s - log_denominator).exp()))

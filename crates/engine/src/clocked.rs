@@ -215,7 +215,7 @@ impl CrowdsourcingEngine {
             let cost_before = platform.total_cost();
             let answers = platform.poll(hit, poll_at);
             collector.record_charge(platform.total_cost() - cost_before);
-            let terminated = collector.ingest(&answers, clock.now(), cache)?;
+            let terminated = collector.ingest(answers, clock.now(), cache)?;
             if terminated || next.is_none() {
                 let receipt = terminated.then(|| platform.cancel(hit, clock.now()));
                 return collector.finalize(clock.now(), receipt, cache);
@@ -270,9 +270,14 @@ impl ClockedCollector {
     /// HIT on the platform and [`finalize`](Self::finalize). Answers are processed one
     /// worker submission at a time: the submission's gold answers are scored first, so the
     /// worker's own vote weight already reflects their gold score.
+    ///
+    /// The poll's answers are taken by value and moved, never copied: into per-worker
+    /// submissions, then into the collector's per-question answer lists, whose keywords
+    /// [`finalize`](Self::finalize) moves into the verdicts' reasons. The online
+    /// processors hold votes without keywords, which no processor or verifier reads.
     pub fn ingest(
         &mut self,
-        answers: &[WorkerAnswer],
+        answers: Vec<WorkerAnswer>,
         now: f64,
         cache: Option<&AccuracyCache>,
     ) -> Result<bool> {
@@ -288,7 +293,7 @@ impl ClockedCollector {
             }
         }
         for submission in group_by_worker(answers) {
-            self.ingest_submission(&submission, now, cache)?;
+            self.ingest_submission(submission, now, cache)?;
         }
         if self.terminated_at.is_none() && self.online() && self.all_questions_terminated() {
             self.terminated_at = Some(now);
@@ -300,7 +305,7 @@ impl ClockedCollector {
     /// their single completion time).
     fn ingest_submission(
         &mut self,
-        submission: &[WorkerAnswer],
+        submission: Vec<WorkerAnswer>,
         now: f64,
         cache: Option<&AccuracyCache>,
     ) -> Result<()> {
@@ -308,7 +313,7 @@ impl ClockedCollector {
             return Ok(());
         };
         // Algorithm 4, incrementally: score this submission's gold answers...
-        for answer in submission {
+        for answer in &submission {
             if let Some(truth) = self.gold_truth.get(&answer.question) {
                 self.estimator
                     .record(answer.worker, answer.question, &answer.label, truth);
@@ -338,48 +343,49 @@ impl ClockedCollector {
         };
         for answer in submission {
             self.answers_delivered += 1;
-            self.votes
-                .entry(answer.question)
-                .or_default()
-                .push(answer.clone());
-            if !online {
-                continue;
+            if online {
+                self.observe(&answer, accuracy, mean, now)?;
             }
-            let processor = match self.processors.get_mut(&answer.question) {
-                Some(p) => p,
-                None => {
-                    // `online` is true only when a termination strategy is
-                    // configured; if that invariant ever breaks, skip online
-                    // processing for the answer instead of panicking the run.
-                    let Some(strategy) = self.config.termination else {
-                        continue;
-                    };
-                    let domain = self.config.domain_size.unwrap_or_else(|| {
-                        self.questions
-                            .iter()
-                            .find(|q| q.id == answer.question)
-                            .map(|q| q.domain.size())
-                            .unwrap_or(2)
-                    });
-                    let p = OnlineProcessor::new(self.workers_assigned, mean, strategy)?
-                        .with_domain_size(domain);
-                    self.processors.entry(answer.question).or_insert(p)
-                }
-            };
-            if processor.is_terminated() {
-                // This question already has its verdict; later answers for it were only
-                // delivered because *other* questions kept the HIT alive.
-                continue;
+            self.votes.entry(answer.question).or_default().push(answer);
+        }
+        Ok(())
+    }
+
+    /// Fold one answer, weighted with `accuracy`, into its question's online processor,
+    /// which is created at the question's first vote with the population mean `mean`.
+    fn observe(&mut self, answer: &WorkerAnswer, accuracy: f64, mean: f64, now: f64) -> Result<()> {
+        let processor = match self.processors.get_mut(&answer.question) {
+            Some(p) => p,
+            None => {
+                // `online` is true only when a termination strategy is configured; if
+                // that invariant ever breaks, skip online processing for the answer
+                // instead of panicking the run.
+                let Some(strategy) = self.config.termination else {
+                    return Ok(());
+                };
+                let domain = self.config.domain_size.unwrap_or_else(|| {
+                    self.questions
+                        .iter()
+                        .find(|q| q.id == answer.question)
+                        .map(|q| q.domain.size())
+                        .unwrap_or(2)
+                });
+                let p = OnlineProcessor::new(self.workers_assigned, mean, strategy)?
+                    .with_domain_size(domain);
+                self.processors.entry(answer.question).or_insert(p)
             }
-            let vote = Vote::new(worker, answer.label.clone(), accuracy)
-                .with_keywords(answer.keywords.iter().cloned());
-            let outcome = processor.consume(vote)?;
-            if outcome.terminated
-                && self.first_verdict_at.is_none()
-                && !self.gold_truth.contains_key(&answer.question)
-            {
-                self.first_verdict_at = Some(now);
-            }
+        };
+        if processor.is_terminated() {
+            // This question already has its verdict; later answers for it were only
+            // delivered because *other* questions kept the HIT alive.
+            return Ok(());
+        }
+        let vote = Vote::new(answer.worker, answer.label.clone(), accuracy);
+        if processor.observe(vote)
+            && self.first_verdict_at.is_none()
+            && !self.gold_truth.contains_key(&answer.question)
+        {
+            self.first_verdict_at = Some(now);
         }
         Ok(())
     }
@@ -423,32 +429,29 @@ impl ClockedCollector {
     /// Redeem the collector into a [`ClockedOutcome`] at simulated time `completed_at`,
     /// with the platform's [`CancelReceipt`] when the batch was cancelled mid-flight.
     pub fn finalize(
-        self,
+        mut self,
         completed_at: f64,
         cancel: Option<CancelReceipt>,
         cache: Option<&AccuracyCache>,
     ) -> Result<ClockedOutcome> {
         let (registry, estimated_mean) = self.final_registry(cache);
+        let mut answers = std::mem::take(&mut self.votes);
         let mut verdicts = Vec::with_capacity(self.questions.len());
         for question in &self.questions {
-            let votes = self
-                .votes
-                .get(&question.id)
-                .map(Vec::as_slice)
-                .unwrap_or_default();
+            let votes = answers.remove(&question.id).unwrap_or_default();
             let (verdict, answers_used) = if self.online() {
                 self.online_verdict(question)?
             } else {
-                self.offline_verdict(question, votes, &registry)?
+                self.offline_verdict(question, &votes, &registry)?
             };
             // Reasons: keywords from the workers (among the consumed prefix) whose vote
-            // matches the accepted answer.
+            // matches the accepted answer, moved out of their answers.
             let reasons = match verdict.label() {
                 Some(accepted) => votes
-                    .iter()
+                    .into_iter()
                     .take(answers_used)
                     .filter(|a| &a.label == accepted)
-                    .flat_map(|a| a.keywords.iter().cloned())
+                    .flat_map(|a| a.keywords)
                     .collect(),
                 None => Vec::new(),
             };
@@ -530,7 +533,6 @@ impl ClockedCollector {
                         .accuracy_of(a.worker)
                         .unwrap_or(self.config.default_worker_accuracy);
                     Vote::new(a.worker, a.label.clone(), accuracy)
-                        .with_keywords(a.keywords.iter().cloned())
                 })
                 .collect(),
         );
@@ -589,18 +591,19 @@ impl ClockedCollector {
     }
 }
 
-/// Split a poll's answers into per-worker submissions, preserving arrival order. A worker
-/// submits all their answers at one completion time, so submissions are contiguous runs;
-/// the fold tolerates interleavings anyway by appending to an existing run.
-fn group_by_worker(answers: &[WorkerAnswer]) -> Vec<Vec<WorkerAnswer>> {
+/// Split a poll's answers into per-worker submissions, preserving arrival order, by
+/// moving each answer into its submission. A worker submits all their answers at one
+/// completion time, so submissions are contiguous runs; the fold tolerates
+/// interleavings anyway by appending to an existing run.
+fn group_by_worker(answers: Vec<WorkerAnswer>) -> Vec<Vec<WorkerAnswer>> {
     let mut groups: Vec<Vec<WorkerAnswer>> = Vec::new();
     let mut index: BTreeMap<WorkerId, usize> = BTreeMap::new();
     for answer in answers {
         match index.get(&answer.worker).and_then(|&i| groups.get_mut(i)) {
-            Some(group) => group.push(answer.clone()),
+            Some(group) => group.push(answer),
             None => {
                 index.insert(answer.worker, groups.len());
-                groups.push(vec![answer.clone()]);
+                groups.push(vec![answer]);
             }
         }
     }
@@ -853,7 +856,7 @@ mod tests {
         let mut collector = e.begin_clocked(ticket, clock.now());
         let answers = p.poll(hit, f64::INFINITY);
         collector
-            .ingest(&answers, clock.now(), Some(&cache))
+            .ingest(answers.clone(), clock.now(), Some(&cache))
             .unwrap();
         let out = collector
             .finalize(clock.now(), None, Some(&cache))
@@ -883,6 +886,77 @@ mod tests {
     }
 
     #[test]
+    fn an_interleaved_poll_ingests_like_the_grouped_poll() {
+        // One poll in which two workers' answers interleave ingests exactly like the
+        // same answers grouped by worker, and each verdict's reasons are the keywords,
+        // in arrival order, of the consumed voters who chose the accepted label.
+        let e = engine(Some(TerminationStrategy::ExpMax));
+        let collect = |order: fn(Vec<WorkerAnswer>) -> Vec<WorkerAnswer>| {
+            let mut p = platform(0.75, 17);
+            let ticket = e.publish_batch(&mut p, batch(6, 2)).unwrap();
+            let hit = ticket.hit;
+            let mut collector = e.begin_clocked(ticket, 0.0);
+            let mut answers = p.poll(hit, f64::INFINITY);
+            for a in &mut answers {
+                a.keywords = vec![format!("{}-{}", a.worker, a.question), a.worker.to_string()];
+            }
+            collector.ingest(order(answers.clone()), 1.0, None).unwrap();
+            (answers, collector.finalize(1.0, None, None).unwrap())
+        };
+        let (arrivals, grouped) = collect(|answers| answers);
+        let (_, interleaved) = collect(|answers| {
+            // Alternate the first two workers' submissions answer by answer.
+            let run = |from: usize| {
+                let worker = answers[from].worker;
+                from + answers[from..]
+                    .iter()
+                    .take_while(|a| a.worker == worker)
+                    .count()
+            };
+            let (first, second) = (run(0), run(run(0)));
+            assert!(
+                first > 1 && second - first > 1,
+                "two multi-answer submissions"
+            );
+            let mut mixed = Vec::with_capacity(answers.len());
+            for (a, b) in answers[..first].iter().zip(&answers[first..second]) {
+                mixed.push(a.clone());
+                mixed.push(b.clone());
+            }
+            mixed.extend_from_slice(&answers[second..]);
+            assert_eq!(mixed.len(), answers.len());
+            mixed
+        });
+        assert_eq!(interleaved, grouped);
+
+        let mut cut_short = false;
+        let mut with_reasons = 0;
+        for v in &grouped.outcome.verdicts {
+            let delivered: Vec<&WorkerAnswer> = arrivals
+                .iter()
+                .filter(|a| a.question == v.question)
+                .collect();
+            cut_short |= v.answers_used < delivered.len();
+            let expected: Vec<String> = match v.verdict.label() {
+                Some(accepted) => delivered
+                    .iter()
+                    .take(v.answers_used)
+                    .filter(|a| &a.label == accepted)
+                    .flat_map(|a| a.keywords.iter().cloned())
+                    .collect(),
+                None => Vec::new(),
+            };
+            assert_eq!(v.reasons, expected, "question {}", v.question);
+            with_reasons += usize::from(!v.reasons.is_empty());
+        }
+        assert!(
+            cut_short,
+            "termination left some delivered answers unconsumed"
+        );
+        assert!(with_reasons > 0);
+    }
+
+    #[test]
     fn group_by_worker_preserves_order_and_merges_runs() {
         let mk = |w: u64, q: u64| WorkerAnswer {
             hit: HitId(0),
@@ -893,10 +967,10 @@ mod tests {
             arrived_at: w as f64,
             approval_rate: 1.0,
         };
-        let groups = group_by_worker(&[mk(1, 0), mk(1, 1), mk(2, 0), mk(1, 2), mk(2, 1)]);
+        let groups = group_by_worker(vec![mk(1, 0), mk(1, 1), mk(2, 0), mk(1, 2), mk(2, 1)]);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].len(), 3, "worker 1's answers merge into one run");
         assert_eq!(groups[1].len(), 2);
-        assert!(group_by_worker(&[]).is_empty());
+        assert!(group_by_worker(Vec::new()).is_empty());
     }
 }

@@ -56,9 +56,11 @@ pub struct RecoveryReport {
     pub recovered_hits: usize,
     /// Batch commits the resumed run appended (work paid after recovery).
     pub resumed_hits: usize,
-    /// Requester cost of the recovered commits.
+    /// Requester cost of the recovered commits, summed in `(job, seq)` order as the
+    /// fleet report sums its cost: for an intact journal it equals
+    /// `report.fleet.cost` bit for bit, in every execution mode.
     pub recovered_cost: f64,
-    /// Requester cost of the resumed commits.
+    /// Requester cost of the resumed commits, summed in `(job, seq)` order.
     pub resumed_cost: f64,
 }
 
@@ -211,10 +213,10 @@ struct RecoveryState {
     torn_tail: bool,
     divergence: Option<String>,
     failure: Option<CdasError>,
-    recovered_hits: usize,
-    resumed_hits: usize,
-    recovered_cost: f64,
-    resumed_cost: f64,
+    /// The charge of each recovered commit, by `(job, seq)`.
+    recovered: BTreeMap<(usize, usize), f64>,
+    /// The charge of each resumed commit, by `(job, seq)`.
+    resumed: BTreeMap<(usize, usize), f64>,
 }
 
 impl RecoveryState {
@@ -268,10 +270,8 @@ impl RecoveryObserver {
                 torn_tail: replay.torn_tail,
                 divergence: None,
                 failure: None,
-                recovered_hits: 0,
-                resumed_hits: 0,
-                recovered_cost: 0.0,
-                resumed_cost: 0.0,
+                recovered: BTreeMap::new(),
+                resumed: BTreeMap::new(),
             }),
         }
     }
@@ -346,13 +346,18 @@ impl RecoveryObserver {
             return Err(failure);
         }
         state.journal.sync()?;
+        // Shard threads commit in host-timing order, so the costs are summed here, in
+        // `(job, seq)` order from zero: the order the fleet report sums its cost in.
+        let total = |charges: &BTreeMap<(usize, usize), f64>| {
+            charges.values().fold(0.0, |sum, charge| sum + charge)
+        };
         Ok(RecoveryReport {
             was_complete,
             torn_tail: state.torn_tail,
-            recovered_hits: state.recovered_hits,
-            resumed_hits: state.resumed_hits,
-            recovered_cost: state.recovered_cost,
-            resumed_cost: state.resumed_cost,
+            recovered_hits: state.recovered.len(),
+            resumed_hits: state.resumed.len(),
+            recovered_cost: total(&state.recovered),
+            resumed_cost: total(&state.resumed),
         })
     }
 }
@@ -409,8 +414,7 @@ impl RunObserver for RecoveryObserver {
         match state.commits.remove(&key) {
             Some(journaled) => {
                 if journaled.matches(commit) {
-                    state.recovered_hits += 1;
-                    state.recovered_cost += journaled.charge;
+                    state.recovered.insert(key, journaled.charge);
                 } else {
                     state.diverge(format!(
                         "commit for job {} seq {} does not match the journaled one",
@@ -419,13 +423,12 @@ impl RunObserver for RecoveryObserver {
                 }
             }
             None => {
-                // Append before touching the resumed counters: the record is
+                // Append before touching the resumed charges: the record is
                 // what makes the commit durable, and a failed write must not
                 // leave state claiming a hit the journal never saw.
                 let record = JournalRecord::Commit(CommitDigest::of(commit));
                 state.append(&record);
-                state.resumed_hits += 1;
-                state.resumed_cost += commit.outcome.cost;
+                state.resumed.insert(key, commit.outcome.cost);
             }
         }
     }

@@ -1015,10 +1015,9 @@ impl JobScheduler {
                         observer.on_charge(state.id, hit, charged, poll_at);
                     }
                 }
-                let terminated =
-                    entry
-                        .collector
-                        .ingest(&answers, clock.now(), Some(&self.cache))?;
+                let terminated = entry
+                    .collector
+                    .ingest(answers, clock.now(), Some(&self.cache))?;
                 let exhausted = platform.next_arrival(hit).is_none();
                 if !(terminated || exhausted) {
                     if heap_mode {

@@ -6,13 +6,18 @@
 //!   strategies, so some batches cancel mid-flight and hand their leases over;
 //! * `EndOfTime` with termination off, once per [`VerificationStrategy`].
 //!
+//! The first three fleets fix `domain_size(3)` over three-label questions; the fourth
+//! asks five-label questions with `estimated_domain_size()`.
+//!
 //! Every job pins its accuracy, cost, mean answers used, HIT count and a fingerprint of
 //! its verdicts. The figures were recorded once and must not move: a change to the
 //! scheduler loop or to the phase-2 collector that alters any line is a behaviour
 //! change, not a refactor.
 
 use cdas::core::online::TerminationStrategy::{ExpMax, MinExp, MinMax};
+use cdas::core::types::AnswerDomain;
 use cdas::crowd::distribution::AccuracyDistribution;
+use cdas::crowd::question::CrowdQuestion;
 use cdas::fixtures::demo_questions;
 use cdas::prelude::*;
 
@@ -23,6 +28,28 @@ struct Case {
     seed: u64,
     latency_mean: f64,
     jobs: Vec<(u64, u64, usize, usize, Option<TerminationStrategy>)>,
+    /// Five-label questions with an estimated answer domain, instead of three-label
+    /// questions with `domain_size(3)`.
+    estimated_domain: bool,
+}
+
+/// `real + gold` five-label tagging questions whose ground truth is always `"cat"`,
+/// the first `gold` of which are gold questions.
+fn five_label_questions(real: u64, gold: u64) -> Vec<CrowdQuestion> {
+    (0..gold + real)
+        .map(|i| {
+            let q = CrowdQuestion::new(
+                QuestionId(i),
+                AnswerDomain::from_strs(&["cat", "dog", "bird", "fish", "horse"]),
+                Label::from("cat"),
+            );
+            if i < gold {
+                q.as_gold()
+            } else {
+                q
+            }
+        })
+        .collect()
 }
 
 fn cases() -> Vec<Case> {
@@ -38,6 +65,7 @@ fn cases() -> Vec<Case> {
                 (7, 2, 3, 5, Some(MinMax)),
                 (6, 2, 5, 3, Some(MinExp)),
             ],
+            estimated_domain: false,
         },
         Case {
             pool: 24,
@@ -49,6 +77,7 @@ fn cases() -> Vec<Case> {
                 (10, 4, 5, 7, Some(ExpMax)),
                 (9, 0, 5, 4, Some(MinMax)),
             ],
+            estimated_domain: false,
         },
         Case {
             pool: 18,
@@ -61,6 +90,20 @@ fn cases() -> Vec<Case> {
                 (11, 2, 5, 5, Some(ExpMax)),
                 (5, 1, 7, 3, None),
             ],
+            estimated_domain: false,
+        },
+        Case {
+            pool: 16,
+            accuracy: AccuracyDistribution::Uniform { lo: 0.6, hi: 0.95 },
+            seed: 7,
+            latency_mean: 4.0,
+            jobs: vec![
+                (8, 2, 5, 4, Some(ExpMax)),
+                (7, 2, 4, 3, Some(MinMax)),
+                (6, 1, 5, 3, None),
+                (9, 2, 3, 5, Some(MinExp)),
+            ],
+            estimated_domain: true,
         },
     ]
 }
@@ -76,10 +119,13 @@ fn fleet(case: &Case, offline: Option<VerificationStrategy>) -> Fleet {
         });
     let mut builder = Fleet::builder().crowd(crowd).scheduler_seed(case.seed + 1);
     for (i, &(real, gold, workers, batch, termination)) in case.jobs.iter().enumerate() {
-        let mut job = JobSpec::sentiment(format!("job-{i}"), demo_questions(real, gold))
-            .workers(workers)
-            .batch_size(batch)
-            .domain_size(3);
+        let mut job = if case.estimated_domain {
+            JobSpec::tagging(format!("job-{i}"), five_label_questions(real, gold))
+                .estimated_domain_size()
+        } else {
+            JobSpec::sentiment(format!("job-{i}"), demo_questions(real, gold)).domain_size(3)
+        };
+        job = job.workers(workers).batch_size(batch);
         job = match (offline, termination) {
             (Some(verification), _) => job.verification(verification).no_termination(),
             (None, Some(strategy)) => job.termination(strategy),
@@ -226,7 +272,27 @@ const GOLDEN: &str = "\
 2/eot-Verification/0 acc=0.9 cost=0.15399999999999997 answers=7.0 hits=2 verdicts=06e67523d9b86acc\n\
 2/eot-Verification/1 acc=0.75 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=792f69d70e16bda7\n\
 2/eot-Verification/2 acc=0.7272727272727273 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=98cac26fb0463b79\n\
-2/eot-Verification/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=ea61f79e10d8a466
+2/eot-Verification/3 acc=1.0 cost=0.15400000000000003 answers=7.0 hits=2 verdicts=ea61f79e10d8a466\n\
+3/clocked/0 acc=0.75 cost=0.12100000000000005 answers=3.125 hits=3 verdicts=07025ae649d447ba\n\
+3/clocked/1 acc=1.0 cost=0.11000000000000006 answers=2.7142857142857144 hits=3 verdicts=9d4d32ac75f9218c\n\
+3/clocked/2 acc=1.0 cost=0.16500000000000012 answers=5.0 hits=3 verdicts=0e3fec21c186b147\n\
+3/clocked/3 acc=0.7777777777777778 cost=0.05500000000000001 answers=1.6666666666666667 hits=3 verdicts=48581dcbcede690e\n\
+3/parallel2/0 acc=1.0 cost=0.12099999999999997 answers=3.25 hits=3 verdicts=94902898ad733de3\n\
+3/parallel2/1 acc=0.8571428571428571 cost=0.13200000000000003 answers=3.5714285714285716 hits=3 verdicts=c6bee16ea60109f6\n\
+3/parallel2/2 acc=1.0 cost=0.16500000000000012 answers=5.0 hits=3 verdicts=935612004b976c8c\n\
+3/parallel2/3 acc=0.8888888888888888 cost=0.05499999999999998 answers=1.6666666666666667 hits=3 verdicts=6f9337e0dbcd2ab8\n\
+3/eot-Majority-Voting/0 acc=0.75 cost=0.16499999999999992 answers=5.0 hits=3 verdicts=f11f113919c42ff7\n\
+3/eot-Majority-Voting/1 acc=0.8571428571428571 cost=0.13200000000000006 answers=4.0 hits=3 verdicts=f45fc1c5752a8c03\n\
+3/eot-Majority-Voting/2 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=7f255f0d824e067a\n\
+3/eot-Majority-Voting/3 acc=0.8888888888888888 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=b52334aeb40933df\n\
+3/eot-Half-Voting/0 acc=0.75 cost=0.16499999999999992 answers=5.0 hits=3 verdicts=46b42fbce8486271\n\
+3/eot-Half-Voting/1 acc=1.0 cost=0.13200000000000006 answers=4.0 hits=3 verdicts=af1bbf6455f602f0\n\
+3/eot-Half-Voting/2 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=7f255f0d824e067a\n\
+3/eot-Half-Voting/3 acc=0.8888888888888888 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=b52334aeb40933df\n\
+3/eot-Verification/0 acc=0.625 cost=0.16499999999999992 answers=5.0 hits=3 verdicts=10d341d20ad3c7b0\n\
+3/eot-Verification/1 acc=1.0 cost=0.13200000000000006 answers=4.0 hits=3 verdicts=c6a1b39fe7a554b4\n\
+3/eot-Verification/2 acc=1.0 cost=0.16499999999999998 answers=5.0 hits=3 verdicts=3533bfc8784ff9a5\n\
+3/eot-Verification/3 acc=0.8888888888888888 cost=0.09899999999999998 answers=3.0 hits=3 verdicts=12fee9a164b69489
 ";
 
 #[test]

@@ -146,6 +146,59 @@ fn journaled_runs_match_plain_runs_and_recovery_is_a_noop_resume() {
     }
 }
 
+/// Twelve jobs of mixed shapes over one crowd: enough commits, committed in an order
+/// other than `(job, seq)`, that summing their charges in commit order moves the
+/// last bits of the total.
+fn twelve_jobs(dir: &Path) -> Fleet {
+    let mut builder = Fleet::builder()
+        .crowd(
+            CrowdSpec::clean(36, 0.8)
+                .seed(2)
+                .latency(LatencyModel::Exponential { mean: 4.0 }),
+        )
+        .journal(dir);
+    for i in 0..12u64 {
+        builder = builder.job(
+            JobSpec::sentiment(format!("job-{i}"), demo_questions(5 + i % 4, 1 + i % 2))
+                .workers(3 + (i % 3) as usize)
+                .domain_size(3)
+                .batch_size(3)
+                .termination(TerminationStrategy::ExpMax),
+        );
+    }
+    builder.build().unwrap()
+}
+
+#[test]
+fn recovered_cost_equals_the_fleet_cost_bit_for_bit() {
+    // Shard threads commit in host-timing order, and a clocked fleet commits in
+    // completion order; recovery must still sum the charges the way the report does.
+    for (i, mode) in [
+        ExecutionMode::Clocked,
+        ExecutionMode::Parallel { shards: 3 },
+    ]
+    .iter()
+    .enumerate()
+    {
+        let dir = temp_dir(&format!("cost-bits-{i}"));
+        let run = twelve_jobs(&dir).run(*mode).unwrap();
+        let cost = run.report().fleet.cost;
+        for attempt in 0..4 {
+            let (recovered, report) = Fleet::recover(&dir).unwrap();
+            assert!(report.was_complete, "{mode:?}: the journal is intact");
+            assert_eq!(report.resumed_hits, 0, "{mode:?}");
+            assert_eq!(
+                report.recovered_cost.to_bits(),
+                recovered.report().fleet.cost.to_bits(),
+                "{mode:?} recovery {attempt}: recovered {} but the report says {}",
+                report.recovered_cost,
+                recovered.report().fleet.cost
+            );
+            assert_eq!(report.recovered_cost.to_bits(), cost.to_bits(), "{mode:?}");
+        }
+    }
+}
+
 /// A journal's encoded records grouped by job, in journal order within each group;
 /// records of no one job (head, events, trailer) share the `None` group.
 fn records_per_job(dir: &Path) -> std::collections::BTreeMap<Option<usize>, Vec<Vec<u8>>> {
