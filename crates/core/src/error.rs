@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::types::QuestionId;
+
 /// Convenient result alias used throughout the crate.
 pub type Result<T, E = CdasError> = std::result::Result<T, E>;
 
@@ -91,6 +93,12 @@ pub enum CdasError {
         /// The offending job's name.
         name: String,
     },
+    /// A batch lists the same question twice. The engine keeps answers and verdicts per
+    /// question id, so the second copy could never be verified.
+    DuplicateQuestion {
+        /// The repeated question id.
+        question: QuestionId,
+    },
     /// The requested shard count cannot partition the fleet's crowd: zero shards serve
     /// nothing, and more shards than workers would leave shards with empty rosters.
     InvalidShardCount {
@@ -176,6 +184,9 @@ impl fmt::Display for CdasError {
             CdasError::EmptyJob { name } => {
                 write!(f, "job {name:?} has no questions to crowdsource")
             }
+            CdasError::DuplicateQuestion { question } => {
+                write!(f, "question {question} appears twice in one batch")
+            }
             CdasError::InvalidShardCount { shards, workers } => write!(
                 f,
                 "cannot split a {workers}-worker crowd into {shards} shards \
@@ -239,6 +250,10 @@ mod tests {
             name: "thor".to_string(),
         };
         assert!(e.to_string().contains("thor"));
+        let e = CdasError::DuplicateQuestion {
+            question: QuestionId(41),
+        };
+        assert!(e.to_string().contains("q41"));
         let e = CdasError::InvalidShardCount {
             shards: 9,
             workers: 4,

@@ -64,13 +64,6 @@ impl PartialConfidence {
         }
     }
 
-    /// [`effective_domain`](Self::effective_domain) for an observation with
-    /// `distinct_answers` distinct labels, for callers that already know the count.
-    pub(crate) fn domain_for(&self, distinct_answers: usize) -> usize {
-        self.fixed_domain
-            .unwrap_or_else(|| self.domain.estimate(distinct_answers))
-    }
-
     /// Number of answers still outstanding for this HIT.
     pub fn remaining(&self, observation: &Observation) -> usize {
         self.assigned_workers.saturating_sub(observation.len())

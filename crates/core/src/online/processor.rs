@@ -118,21 +118,15 @@ impl OnlineProcessor {
     ///
     /// This is the engine's per-answer step: it builds no ranking, and it allocates only
     /// to grow the observation and the sums, or to rebuild the sums when the effective
-    /// domain changes. The effective domain is read from the number of distinct labels,
-    /// which the sums' keys already hold, so an estimated domain costs no pass over the
-    /// votes.
+    /// domain changes.
     ///
     /// Answers arriving after termination are still folded into the confidence estimate
     /// (the platform may deliver them before the cancellation takes effect) but do not
     /// reset the termination point.
     pub fn observe(&mut self, vote: Vote) -> bool {
-        let fresh = !self.sums.contains_key(&vote.label);
-        let m = self
-            .termination
-            .partial
-            .domain_for(self.sums.len() + usize::from(fresh));
         let (label, accuracy) = (vote.label.clone(), vote.accuracy());
         self.observation.push(vote);
+        let m = self.termination.partial.effective_domain(&self.observation);
         if m == self.sums_domain {
             // Delta path: `summed_confidences` folds votes in arrival order with this
             // same `+=`, so appending one term is bit-identical to recomputing.

@@ -24,7 +24,7 @@ use crate::error::{CdasError, Result};
 use crate::math::log_sum_exp_iter;
 use crate::online::partial::PartialConfidence;
 use crate::types::{Label, Observation};
-use crate::verification::confidence::{desc_nan_last, summed_confidences, worker_confidence};
+use crate::verification::confidence::{desc_nan_last, summed_confidences};
 
 /// The three early-termination strategies of §4.2.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,16 +109,14 @@ impl TerminationConfig {
 
     /// [`bounds`](Self::bounds) over **precomputed** summed confidences.
     ///
-    /// `sums` must be the per-label summed confidences of `observation`: one key per
-    /// distinct label of the observation, holding exactly what [`summed_confidences`]
-    /// returns under the current [`PartialConfidence::effective_domain`], or what an
-    /// incremental accumulator maintains by applying one `+=` delta per vote (the two
-    /// agree bitwise because [`summed_confidences`] itself folds votes in arrival
-    /// order). Under that contract the domain size `m` is taken from `sums.len()`, so an
-    /// estimated domain costs no pass over the votes; of the observation only its length
-    /// is read. The leader and runner-up are picked in one pass under the ranking's
-    /// total order (descending, NaN last, ties by label), and both log-sum-exps run over
-    /// iterators, so nothing is allocated.
+    /// `sums` must be the per-label summed confidences of `observation` under its
+    /// current [`PartialConfidence::effective_domain`] — exactly what
+    /// [`summed_confidences`] returns, or what an incremental accumulator maintains by
+    /// applying one `+=` delta per vote (the two agree bitwise because
+    /// [`summed_confidences`] itself folds votes in arrival order). The leader and
+    /// runner-up are picked in one pass under the ranking's total order (descending, NaN
+    /// last, ties by label), and both log-sum-exps run over iterators, so nothing is
+    /// allocated.
     pub fn bounds_from_sums(
         &self,
         observation: &Observation,
@@ -137,8 +135,9 @@ impl TerminationConfig {
             None => (None, 0.0),
         };
         let k = sums.len();
-        let m = self.partial.domain_for(k);
+        let m = self.partial.effective_domain(observation);
         let remaining = self.partial.remaining(observation);
+        let unseen_confidence = self.partial.unseen_worker_confidence(observation);
 
         // Current confidences: the observed sums plus a unit weight for each of the
         // `m − k` never-voted answers (an unobserved runner-up has sum 0, weight 1).
@@ -150,8 +149,7 @@ impl TerminationConfig {
 
         // Adversarial completion: the remaining workers all vote for the runner-up with
         // the population-mean accuracy. A never-observed runner-up becomes observed.
-        let boosted =
-            second_sum + remaining as f64 * worker_confidence(self.partial.mean_accuracy, m);
+        let boosted = second_sum + remaining as f64 * unseen_confidence;
         let k_done = if second.is_some() { k } else { k + 1 };
         let m_done = m.max(k_done).max(2);
         let completed = sums
@@ -231,8 +229,8 @@ fn leader_and_runner_up(sums: &BTreeMap<Label, f64>) -> Option<(Entry<'_>, Optio
 }
 
 /// The pre-one-pass form of [`TerminationConfig::bounds_from_sums`], kept as the
-/// oracle the production form is property-tested against: a sorted copy of the sums,
-/// log-sum-exp over materialized term vectors, and `m` read from the observation.
+/// oracle the production form is property-tested against: a sorted copy of the sums
+/// and log-sum-exp over materialized term vectors.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -551,27 +549,9 @@ mod proptests {
     use crate::types::{Vote, WorkerId};
     use proptest::prelude::*;
 
-    fn arbitrary_partial() -> impl Strategy<Value = (Observation, usize)> {
-        let label = prop_oneof![Just("a"), Just("b"), Just("c")];
-        (
-            prop::collection::vec((label, 0.55f64..0.95), 1..10),
-            10usize..20,
-        )
-            .prop_map(|(entries, n)| {
-                let observation = Observation::from_votes(
-                    entries
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, (l, a))| Vote::new(WorkerId(i as u64), Label::from(l), a))
-                        .collect(),
-                );
-                (observation, n)
-            })
-    }
-
     /// Partial observations whose accuracies often repeat (so summed confidences tie)
     /// and are sometimes NaN (which `Vote::new` clamps to the neutral 0.5).
-    fn oracle_partial() -> impl Strategy<Value = (Observation, usize)> {
+    fn arbitrary_partial() -> impl Strategy<Value = (Observation, usize)> {
         let label = prop_oneof![Just("a"), Just("b"), Just("c")];
         let accuracy = prop_oneof![0.55f64..0.95, Just(0.7), Just(0.9), Just(f64::NAN)];
         (prop::collection::vec((label, accuracy), 1..10), 10usize..20).prop_map(|(entries, n)| {
@@ -629,7 +609,7 @@ mod proptests {
         /// oracle field by field, for every strategy, fixed and estimated domains, tied
         /// sums, NaN accuracies and NaN sums.
         #[test]
-        fn sums_variants_match_from_scratch((observation, n) in oracle_partial(), mu in 0.6f64..0.9) {
+        fn sums_variants_match_from_scratch((observation, n) in arbitrary_partial(), mu in 0.6f64..0.9) {
             for domain in [Some(3), None] {
                 let mut partial = PartialConfidence::new(n, mu).unwrap();
                 if let Some(m) = domain {

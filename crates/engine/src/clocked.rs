@@ -438,6 +438,8 @@ impl ClockedCollector {
         let mut answers = std::mem::take(&mut self.votes);
         let mut verdicts = Vec::with_capacity(self.questions.len());
         for question in &self.questions {
+            // Publishing rejects a batch that repeats a question id, so each question's
+            // answers are taken exactly once.
             let votes = answers.remove(&question.id).unwrap_or_default();
             let (verdict, answers_used) = if self.online() {
                 self.online_verdict(question)?

@@ -22,6 +22,8 @@
 //! publishes with ingestion ([`crate::scheduler`]). [`CrowdsourcingEngine::run_hit`] is the
 //! single-batch composition of the two.
 
+use std::collections::BTreeSet;
+
 use cdas_core::accuracy::AccuracyRegistry;
 use cdas_core::economics::CostModel;
 use cdas_core::online::TerminationStrategy;
@@ -279,9 +281,7 @@ impl CrowdsourcingEngine {
         platform: &mut P,
         questions: Vec<CrowdQuestion>,
     ) -> Result<BatchTicket> {
-        if questions.is_empty() {
-            return Err(CdasError::EmptyObservation);
-        }
+        check_batch(&questions)?;
         let workers = self.decide_workers()?;
         let request = HitRequest::new(questions.clone(), workers, self.config.reward);
         let hit = platform.publish(request);
@@ -304,9 +304,7 @@ impl CrowdsourcingEngine {
         questions: Vec<CrowdQuestion>,
         workers: &[WorkerId],
     ) -> Result<BatchTicket> {
-        if questions.is_empty() {
-            return Err(CdasError::EmptyObservation);
-        }
+        check_batch(&questions)?;
         if workers.is_empty() {
             return Err(CdasError::NonPositive {
                 what: "worker count",
@@ -336,6 +334,22 @@ impl CrowdsourcingEngine {
         let clocked =
             self.collect_batch_clocked(&mut EndOfTime(platform), ticket, &mut SimClock::new())?;
         Ok(clocked.outcome)
+    }
+}
+
+/// Reject a batch no collector can verify: one with no questions, or one that lists a
+/// question id twice (answers and verdicts are kept per id, so the second copy would
+/// get none).
+fn check_batch(questions: &[CrowdQuestion]) -> Result<()> {
+    if questions.is_empty() {
+        return Err(CdasError::EmptyObservation);
+    }
+    let mut seen = BTreeSet::new();
+    match questions.iter().find(|q| !seen.insert(q.id)) {
+        Some(repeated) => Err(CdasError::DuplicateQuestion {
+            question: repeated.id,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -560,6 +574,34 @@ mod tests {
             .publish_batch_to(&mut p, Vec::new(), &[WorkerId(1)])
             .is_err());
         assert!(engine.publish_batch_to(&mut p, batch(2, 0), &[]).is_err());
+    }
+
+    #[test]
+    fn repeated_question_id_is_rejected_before_publishing() {
+        let engine = CrowdsourcingEngine::new(EngineConfig::default());
+        let mut p = platform(0.8, 1);
+        let mut questions = batch(4, 1);
+        questions.push(sentiment_question(2, false));
+        let repeated = Err(CdasError::DuplicateQuestion {
+            question: QuestionId(2),
+        });
+        assert_eq!(
+            engine.run_hit(&mut p, questions.clone()).map(|_| ()),
+            repeated
+        );
+        assert_eq!(
+            engine.publish_batch(&mut p, questions.clone()).map(|_| ()),
+            repeated
+        );
+        assert_eq!(
+            engine
+                .publish_batch_to(&mut p, questions, &[WorkerId(1), WorkerId(2)])
+                .map(|_| ()),
+            repeated
+        );
+        // Nothing reached the platform: its first HIT is still unpublished.
+        let ticket = engine.publish_batch(&mut p, batch(4, 1)).unwrap();
+        assert_eq!(ticket.hit, HitId(0));
     }
 
     #[test]

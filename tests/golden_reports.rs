@@ -1,4 +1,4 @@
-//! Golden per-job reports of three seeded fleets, pinned exactly.
+//! Golden per-job reports of four seeded fleets, pinned exactly.
 //!
 //! Each fleet runs three ways:
 //!
@@ -6,8 +6,11 @@
 //!   strategies, so some batches cancel mid-flight and hand their leases over;
 //! * `EndOfTime` with termination off, once per [`VerificationStrategy`].
 //!
-//! The first three fleets fix `domain_size(3)` over three-label questions; the fourth
-//! asks five-label questions with `estimated_domain_size()`.
+//! The first three fleets fix `domain_size(3)` over three-label questions. The fourth
+//! asks five-label questions and leaves the domain size unset
+//! (`estimated_domain_size()`); the collector then sizes each question's domain at its
+//! declared `question.domain.size()`, so that fleet pins this fallback, not a
+//! per-observation estimate of the domain.
 //!
 //! Every job pins its accuracy, cost, mean answers used, HIT count and a fingerprint of
 //! its verdicts. The figures were recorded once and must not move: a change to the
@@ -28,9 +31,10 @@ struct Case {
     seed: u64,
     latency_mean: f64,
     jobs: Vec<(u64, u64, usize, usize, Option<TerminationStrategy>)>,
-    /// Five-label questions with an estimated answer domain, instead of three-label
-    /// questions with `domain_size(3)`.
-    estimated_domain: bool,
+    /// Five-label questions with the domain size left unset, which the collector
+    /// resolves to the declared five labels, instead of three-label questions with
+    /// `domain_size(3)`.
+    five_labels: bool,
 }
 
 /// `real + gold` five-label tagging questions whose ground truth is always `"cat"`,
@@ -65,7 +69,7 @@ fn cases() -> Vec<Case> {
                 (7, 2, 3, 5, Some(MinMax)),
                 (6, 2, 5, 3, Some(MinExp)),
             ],
-            estimated_domain: false,
+            five_labels: false,
         },
         Case {
             pool: 24,
@@ -77,7 +81,7 @@ fn cases() -> Vec<Case> {
                 (10, 4, 5, 7, Some(ExpMax)),
                 (9, 0, 5, 4, Some(MinMax)),
             ],
-            estimated_domain: false,
+            five_labels: false,
         },
         Case {
             pool: 18,
@@ -90,7 +94,7 @@ fn cases() -> Vec<Case> {
                 (11, 2, 5, 5, Some(ExpMax)),
                 (5, 1, 7, 3, None),
             ],
-            estimated_domain: false,
+            five_labels: false,
         },
         Case {
             pool: 16,
@@ -103,7 +107,7 @@ fn cases() -> Vec<Case> {
                 (6, 1, 5, 3, None),
                 (9, 2, 3, 5, Some(MinExp)),
             ],
-            estimated_domain: true,
+            five_labels: true,
         },
     ]
 }
@@ -119,7 +123,7 @@ fn fleet(case: &Case, offline: Option<VerificationStrategy>) -> Fleet {
         });
     let mut builder = Fleet::builder().crowd(crowd).scheduler_seed(case.seed + 1);
     for (i, &(real, gold, workers, batch, termination)) in case.jobs.iter().enumerate() {
-        let mut job = if case.estimated_domain {
+        let mut job = if case.five_labels {
             JobSpec::tagging(format!("job-{i}"), five_label_questions(real, gold))
                 .estimated_domain_size()
         } else {
