@@ -10,12 +10,22 @@
 //!
 //! Format conventions:
 //!
-//! - integers are little-endian; `usize` is written as `u64` and checked on decode;
-//! - `f64` is written as its IEEE-754 bit pattern (`to_bits`), so round-trips are
-//!   bit-exact — the property the fleet's determinism checks rely on;
-//! - `Vec<T>`/`String` are a `u64` length followed by the elements/UTF-8 bytes;
+//! - `u32`, `u64` and `usize` — and through them every id, count, range bound and
+//!   length prefix — are unsigned LEB128 varints: seven bits per byte, least
+//!   significant group first, the high bit set on every byte but the last. A value
+//!   below 128 takes one byte and `u64::MAX` ten. Decoding refuses a truncated,
+//!   over-long (more than ten bytes), overflowing or non-minimal varint, so each value
+//!   has exactly one encoding and damaged bytes surface as a [`CodecError`];
+//!   `u32` and `usize` are range-checked on decode;
+//! - `f64` is written as the 8 little-endian bytes of its IEEE-754 bit pattern
+//!   (`to_bits`), never as a varint, so round-trips are bit-exact — the property the
+//!   fleet's determinism checks rely on;
+//! - `Vec<T>`/`String` are a varint length followed by the elements/UTF-8 bytes;
 //! - `Option<T>` is a presence byte (`0`/`1`) followed by the value;
 //! - enums are a one-byte tag followed by the variant's fields.
+//!
+//! The journal's framing around each record (length, CRC, segment header) is not
+//! written through this codec and stays fixed-width.
 
 use std::ops::Range;
 
@@ -99,7 +109,8 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> CodecResult<&'a [u8]> {
 
 /// Split exactly `N` bytes off the front of `input` as a fixed-size array,
 /// or fail if fewer remain. Infallible once `take` succeeds, so fixed-width
-/// integer decodes need no panicking `try_into().expect(..)` conversion.
+/// decodes (an `f64`, a journal frame header) need no panicking
+/// `try_into().expect(..)` conversion.
 pub fn take_array<const N: usize>(input: &mut &[u8]) -> CodecResult<[u8; N]> {
     let head = take(input, N)?;
     let mut array = [0u8; N];
@@ -117,35 +128,81 @@ impl BinCodec for u8 {
     }
 }
 
+/// The longest varint: `ceil(64 / 7)` bytes hold a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Append `value` as an unsigned LEB128 varint.
+fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Decode an unsigned LEB128 varint from the front of `input`. Refuses a truncated
+/// varint, one longer than [`MAX_VARINT_LEN`] bytes, one whose tenth byte carries bits
+/// past 64, and a non-minimal one (a zero final byte after the first), so decoding
+/// never wraps and each value has exactly one encoding.
+fn decode_varint(input: &mut &[u8]) -> CodecResult<u64> {
+    let mut value = 0u64;
+    for (index, &byte) in input.iter().take(MAX_VARINT_LEN).enumerate() {
+        if index == MAX_VARINT_LEN - 1 && byte > 1 {
+            return Err(CodecError::new(if byte & 0x80 != 0 {
+                format!("varint longer than {MAX_VARINT_LEN} bytes")
+            } else {
+                format!("varint overflows u64 (tenth byte {byte:#04x})")
+            }));
+        }
+        value |= u64::from(byte & 0x7f) << (7 * index);
+        if byte & 0x80 == 0 {
+            if byte == 0 && index > 0 {
+                return Err(CodecError::new(format!(
+                    "non-minimal varint: {} bytes ending in a zero byte",
+                    index + 1
+                )));
+            }
+            take(input, index + 1)?;
+            return Ok(value);
+        }
+    }
+    Err(CodecError::new(format!(
+        "truncated varint: {} bytes, all with the continuation bit",
+        input.len()
+    )))
+}
+
 impl BinCodec for u32 {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        encode_varint(u64::from(*self), out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        Ok(u32::from_le_bytes(take_array(input)?))
+        let wide = decode_varint(input)?;
+        u32::try_from(wide)
+            .map_err(|_| CodecError::new(format!("value {wide} does not fit in u32")))
     }
 }
 
 impl BinCodec for u64 {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        encode_varint(*self, out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        Ok(u64::from_le_bytes(take_array(input)?))
+        decode_varint(input)
     }
 }
 
 impl BinCodec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
+        encode_varint(*self as u64, out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        let wide = u64::decode(input)?;
+        let wide = decode_varint(input)?;
         usize::try_from(wide)
-            .map_err(|_| CodecError::new(format!("u64 value {wide} does not fit in usize")))
+            .map_err(|_| CodecError::new(format!("value {wide} does not fit in usize")))
     }
 }
 
@@ -165,25 +222,35 @@ impl BinCodec for bool {
 
 impl BinCodec for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        Ok(f64::from_bits(u64::decode(input)?))
+        Ok(f64::from_bits(u64::from_le_bytes(take_array(input)?)))
     }
+}
+
+/// Append a string as its varint byte length followed by its UTF-8 bytes — the
+/// encoding of `String`, written straight from a borrowed `&str`.
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    s.len().encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Decode a string written by [`encode_str`], borrowing it from `input`.
+fn decode_str<'a>(input: &mut &'a [u8]) -> CodecResult<&'a str> {
+    let len = usize::decode(input)?;
+    std::str::from_utf8(take(input, len)?)
+        .map_err(|e| CodecError::new(format!("invalid UTF-8 string: {e}")))
 }
 
 impl BinCodec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        let len = usize::decode(input)?;
-        let bytes = take(input, len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| CodecError::new(format!("invalid UTF-8 string: {e}")))
+        decode_str(input).map(str::to_owned)
     }
 }
 
@@ -301,18 +368,21 @@ impl BinCodec for HitId {
 
 impl BinCodec for Label {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.as_str().to_string().encode(out);
+        encode_str(self.as_str(), out);
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
-        Ok(Label::new(String::decode(input)?))
+        Ok(Label::new(decode_str(input)?))
     }
 }
 
 impl BinCodec for AnswerDomain {
+    /// The encoding of `Vec<Label>`, written without collecting one.
     fn encode(&self, out: &mut Vec<u8>) {
-        let labels: Vec<Label> = self.labels().cloned().collect();
-        labels.encode(out);
+        self.size().encode(out);
+        for label in self.labels() {
+            label.encode(out);
+        }
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
@@ -380,13 +450,16 @@ impl BinCodec for TerminationStrategy {
 }
 
 impl BinCodec for AccuracyRegistry {
+    /// The default, then the entries as a `Vec<(WorkerId, f64, usize)>` would encode
+    /// them, written without collecting one.
     fn encode(&self, out: &mut Vec<u8>) {
         self.default_accuracy().encode(out);
-        let entries: Vec<(WorkerId, f64, usize)> = self
-            .iter()
-            .map(|(worker, estimate)| (*worker, estimate.accuracy, estimate.samples))
-            .collect();
-        entries.encode(out);
+        self.len().encode(out);
+        for (worker, estimate) in self.iter() {
+            worker.encode(out);
+            estimate.accuracy.encode(out);
+            estimate.samples.encode(out);
+        }
     }
 
     fn decode(input: &mut &[u8]) -> CodecResult<Self> {
@@ -416,6 +489,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip<T: BinCodec + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_bytes();
@@ -445,11 +519,96 @@ mod tests {
 
     #[test]
     fn f64_round_trip_is_bit_exact() {
-        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-300, -1e300] {
+        for value in [
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff4_0000_dead_beef),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            1e-300,
+            -1e300,
+        ] {
             let bytes = value.to_bytes();
+            assert_eq!(bytes, value.to_bits().to_le_bytes(), "{value:e}");
             let back = f64::from_bytes(&bytes).expect("decodes");
             assert_eq!(back.to_bits(), value.to_bits());
         }
+    }
+
+    /// Every unsigned integer is a varint: its length grows with its magnitude, one
+    /// byte per seven bits, and `u32` and `usize` share `u64`'s encoding.
+    #[test]
+    fn integers_are_minimal_varints_at_every_boundary() {
+        let cases: [(u64, usize); 8] = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ];
+        for (value, len) in cases {
+            let bytes = value.to_bytes();
+            assert_eq!(bytes.len(), len, "{value}");
+            round_trip(value);
+            let narrow = usize::try_from(value).expect("64-bit usize");
+            assert_eq!(narrow.to_bytes(), bytes);
+            round_trip(narrow);
+            if let Ok(narrow) = u32::try_from(value) {
+                assert_eq!(narrow.to_bytes(), bytes);
+                round_trip(narrow);
+            }
+        }
+        assert_eq!(300u64.to_bytes(), [0xac, 0x02]);
+        assert_eq!(
+            u64::MAX.to_bytes(),
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]
+        );
+    }
+
+    proptest! {
+        /// Random values of every length round-trip, each in `ceil(bits / 7)` bytes.
+        #[test]
+        fn random_integers_round_trip_in_minimal_varints(raw in 0u64..u64::MAX, shift in 0usize..64) {
+            let value = raw >> shift;
+            let bits = 64 - value.leading_zeros() as usize;
+            let bytes = value.to_bytes();
+            prop_assert_eq!(bytes.len(), bits.div_ceil(7).max(1));
+            prop_assert_eq!(u64::from_bytes(&bytes), Ok(value));
+            prop_assert_eq!(usize::from_bytes(&bytes), Ok(value as usize));
+            let narrow = value as u32;
+            prop_assert_eq!(u32::from_bytes(&narrow.to_bytes()), Ok(narrow));
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_errors_not_panics() {
+        let eleven_bytes = [
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x01,
+        ];
+        let tenth_byte_above_one = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        let malformed: [&[u8]; 7] = [
+            &[],
+            &[0x80],
+            &[0xff, 0xff, 0xff],
+            &eleven_bytes,
+            &tenth_byte_above_one,
+            &[0x80, 0x00],
+            &[0xff, 0x80, 0x00],
+        ];
+        for bytes in malformed {
+            assert!(u64::from_bytes(bytes).is_err(), "u64 {bytes:x?}");
+            assert!(usize::from_bytes(bytes).is_err(), "usize {bytes:x?}");
+            assert!(u32::from_bytes(bytes).is_err(), "u32 {bytes:x?}");
+        }
+        assert!(u32::from_bytes(&(u64::from(u32::MAX) + 1).to_bytes()).is_err());
     }
 
     #[test]
@@ -483,7 +642,7 @@ mod tests {
     fn truncated_input_is_an_error_not_a_panic() {
         let bytes = 0xdead_beef_dead_beefu64.to_bytes();
         assert!(u64::from_bytes(&bytes[..7]).is_err());
-        assert!(String::from_bytes(&[8, 0, 0, 0, 0, 0, 0, 0, b'x']).is_err());
+        assert!(String::from_bytes(&[8, b'x']).is_err());
         assert!(Vec::<u64>::from_bytes(&u64::MAX.to_bytes()).is_err());
     }
 

@@ -106,7 +106,10 @@ pub struct EngineConfig {
     pub accuracy_source: AccuracySource,
     /// Accuracy assumed for a worker with no estimate (new worker, no gold answers).
     pub default_worker_accuracy: f64,
-    /// Fixed answer-domain size `m`; `None` estimates it per observation (Theorem 5).
+    /// Answer-domain size `m` for verification and online termination; `None` uses each
+    /// question's declared domain size (`question.domain.size()`). The engine never
+    /// uses the per-observation estimate of Theorem 5, which `cdas-core`'s online
+    /// processor makes when it is built without a domain size.
     pub domain_size: Option<usize>,
     /// Reward per assignment (the `m_c` handed to the platform request).
     pub reward: f64,

@@ -211,7 +211,9 @@ impl JobSpec {
         self
     }
 
-    /// Estimate the answer-domain size per observation instead of fixing it.
+    /// Leave the answer-domain size unset: each question is then verified and
+    /// terminated over its declared domain size (`question.domain.size()`), not a
+    /// per-observation estimate. See [`EngineConfig::domain_size`].
     pub fn estimated_domain_size(mut self) -> Self {
         self.domain_size = Some(None);
         self
@@ -668,9 +670,13 @@ impl Fleet {
         let Some(dir) = &self.journal else {
             return self.execute(mode, &failpoints, None);
         };
-        let config = self.run_config(mode)?;
+        let head = JournalRecord::RunStarted(self.run_config(mode)?);
         let mut journal = Journal::create(dir, self.journal_config.clone())?;
-        journal.append(&JournalRecord::RunStarted(config.clone()))?;
+        journal.append(&head)?;
+        let JournalRecord::RunStarted(config) = head else {
+            // cdas-allow(panic_freedom): `head` is built as `RunStarted` just above
+            unreachable!("the head record is RunStarted")
+        };
         let observer = RecoveryObserver::new(journal, JournalReplay::empty(config, false));
         let (run, _) = self.run_journaled(mode, &failpoints, observer)?;
         Ok(run)
@@ -979,6 +985,11 @@ impl FleetRun {
     /// Consume the run, yielding the report.
     pub fn into_report(self) -> FleetReport {
         self.report
+    }
+
+    /// Consume the run, yielding the report and the event stream.
+    pub(crate) fn into_parts(self) -> (FleetReport, Vec<FleetEvent>) {
+        (self.report, self.events)
     }
 
     /// The event stream, ordered by simulated time (dispatch order in `EndOfTime` runs).

@@ -18,10 +18,12 @@
 //!
 //! with a `u32` little-endian length, a `u32` CRC-32 (IEEE) of the payload, and the
 //! payload itself (a [`JournalRecord`] encoded with the in-tree [`BinCodec`] — the no-op
-//! serde shim plays no part in this path). Segments rotate at
-//! [`JournalConfig::max_segment_bytes`]. The segment header's magic carries the format
-//! version, so a journal written in an older record format is refused as corrupt
-//! instead of being misdecoded.
+//! serde shim plays no part in this path). The frame and segment headers stay
+//! fixed-width — a scan reads a frame's length before it can trust any byte of the
+//! payload — while the integers inside a payload are the codec's varints. Segments
+//! rotate at [`JournalConfig::max_segment_bytes`]. The segment header's magic carries
+//! the format version, so a journal written in an older record format is refused as
+//! corrupt instead of being misdecoded.
 //!
 //! Recovery ([`crate::fleet::Fleet::recover`]) reads the journal back, rebuilds the run
 //! configuration from the head record, and re-executes the run deterministically while
@@ -49,16 +51,17 @@ use std::path::{Path, PathBuf};
 use cdas_core::codec::BinCodec;
 use cdas_core::{CdasError, Result};
 
-/// Magic + format version prefix of every segment file. Version 4 is written by runs
-/// that lease workers from the ledger's free list; the records are laid out as in
-/// version 3, but a run journaled before would re-execute to other dispatches. Version
-/// 3 digests commits whose outcome registry holds only the batch's answering workers;
-/// version 2 digested a copy of the whole fleet registry, and version 1 journaled the
-/// whole outcome.
-const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL4";
-/// Segment header: magic followed by the segment's `u64` index.
+/// Magic + format version prefix of every segment file. Version 5 writes every integer
+/// inside a record (ids, counts, lengths) as a varint; the records are otherwise laid
+/// out as in version 4. Version 4 is written by runs that lease workers from the
+/// ledger's free list; its records are laid out as in version 3, but a run journaled
+/// before would re-execute to other dispatches. Version 3 digests commits whose
+/// outcome registry holds only the batch's answering workers; version 2 digested a
+/// copy of the whole fleet registry, and version 1 journaled the whole outcome.
+const SEGMENT_MAGIC: &[u8; 8] = b"CDASWAL5";
+/// Segment header: magic followed by the segment's fixed-width `u64` index.
 const SEGMENT_HEADER_LEN: u64 = 16;
-/// Frame header: `u32` payload length + `u32` CRC-32 of the payload.
+/// Frame header: fixed-width `u32` payload length + `u32` CRC-32 of the payload.
 const FRAME_HEADER_LEN: u64 = 8;
 /// Appends accumulate in an in-memory buffer and reach the OS in one `write` per
 /// sync point (LogBase-style batched appends — the write syscall per record, not the

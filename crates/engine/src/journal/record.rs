@@ -1003,6 +1003,27 @@ mod tests {
         });
     }
 
+    /// Ids are varints: a dispatch to 15 workers with ids below 128 spends one byte
+    /// per id, so a fallback to fixed-width integers shows as 105 extra bytes.
+    #[test]
+    fn a_dispatch_spends_one_byte_per_small_worker_id() {
+        let dispatch = |workers: Vec<WorkerId>| {
+            JournalRecord::Dispatch(DispatchRecord {
+                tick: 3,
+                job: JobId(1),
+                hit: HitId(17),
+                workers,
+                at: 8.75,
+            })
+            .to_bytes()
+        };
+        let fifteen = dispatch((0..15).map(|i| WorkerId(8 * i + 7)).collect());
+        let none = dispatch(Vec::new());
+        assert_eq!(fifteen.len() - none.len(), 15);
+        // Tag, tick, job, HIT and worker count take a byte each; the time takes 8.
+        assert_eq!(fifteen.len(), 5 + 15 + 8);
+    }
+
     #[test]
     fn engine_config_round_trips_all_variants() {
         round_trip(EngineConfig::default());

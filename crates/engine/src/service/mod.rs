@@ -403,9 +403,12 @@ impl FleetService {
             decision,
             forecast: mix,
         };
-        self.manifest
-            .append(&JournalRecord::ServiceSubmitted(submission.clone()))
-            .map_err(Rejected::Invalid)?;
+        let record = JournalRecord::ServiceSubmitted(submission);
+        self.manifest.append(&record).map_err(Rejected::Invalid)?;
+        let JournalRecord::ServiceSubmitted(submission) = record else {
+            // cdas-allow(panic_freedom): `record` is built as `ServiceSubmitted` just above
+            unreachable!("the record is ServiceSubmitted")
+        };
         self.apply_submission(submission);
         match decision {
             AdmissionDecision::Reject => Err(Rejected::Policy {
@@ -564,9 +567,8 @@ impl FleetService {
         let run = self
             .build_epoch_fleet(&tickets, shards, epoch)?
             .run_with_failpoints(mode, failpoints)?;
-        let report = run.report().clone();
-        let events = run.events().to_vec();
-        self.finish_epoch(epoch, &tickets, report, &events, true)
+        let (report, events) = run.into_parts();
+        self.finish_epoch(epoch, &tickets, report, events, true)
             .map(Some)
     }
 
@@ -594,7 +596,7 @@ impl FleetService {
         epoch: u64,
         tickets: &[u64],
         report: FleetReport,
-        run_events: &[FleetEvent],
+        run_events: Vec<FleetEvent>,
         append_completion: bool,
     ) -> Result<EpochSummary> {
         for event in run_events {
@@ -610,7 +612,7 @@ impl FleetService {
             self.events.push(ServiceEvent::Job {
                 ticket: JobTicket(ticket),
                 epoch,
-                event: event.clone(),
+                event,
             });
         }
         if append_completion {
@@ -804,7 +806,7 @@ impl FleetService {
                 }
                 Err(e) => return Err(e),
             };
-        let report = run.report().clone();
+        let (report, events) = run.into_parts();
         if let Some((cost, questions, makespan)) = journaled_completion {
             if cost.to_bits() != report.fleet.cost.to_bits()
                 || questions != report.fleet.questions
@@ -819,12 +821,11 @@ impl FleetService {
                 });
             }
         }
-        let events = run.events().to_vec();
         self.finish_epoch(
             epoch,
             tickets,
             report,
-            &events,
+            events,
             journaled_completion.is_none(),
         )?;
         Ok(run_recovery)

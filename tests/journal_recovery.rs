@@ -437,8 +437,8 @@ fn a_segment_in_the_old_format_is_corrupt() {
     // dispatches, so the whole segment must be refused.
     let segment = dir.join("segment-000000.wal");
     let current = std::fs::read(&segment).unwrap();
-    assert_eq!(current.get(..8), Some(b"CDASWAL4".as_slice()));
-    for old_magic in [*b"CDASWAL1", *b"CDASWAL2", *b"CDASWAL3"] {
+    assert_eq!(current.get(..8), Some(b"CDASWAL5".as_slice()));
+    for old_magic in [*b"CDASWAL1", *b"CDASWAL2", *b"CDASWAL3", *b"CDASWAL4"] {
         let mut bytes = current.clone();
         bytes.splice(..8, old_magic);
         std::fs::write(&segment, bytes).unwrap();
