@@ -267,7 +267,6 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 
 /// Outcome of scanning one segment file.
 struct SegmentScan {
-    records: Vec<JournalRecord>,
     /// Byte offset just past the last intact frame (where a re-opened journal resumes).
     valid_end: u64,
     /// Whether a torn frame was dropped at the segment's end.
@@ -276,8 +275,14 @@ struct SegmentScan {
 
 /// Parse one segment. `is_last` controls torn-tail tolerance: damage that reaches the
 /// end of the **final** segment is a crash signature and is dropped; the same damage in
-/// an earlier segment (or damage that does *not* reach EOF) is corruption.
-fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
+/// an earlier segment (or damage that does *not* reach EOF) is corruption. Intact
+/// records are appended to `records`, the whole journal's list, so no per-segment
+/// list is built and copied over.
+fn scan_segment(
+    path: &Path,
+    is_last: bool,
+    records: &mut Vec<JournalRecord>,
+) -> Result<SegmentScan> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
     let corrupt = |offset: u64, detail: String| CdasError::JournalCorrupt {
         segment: path.display().to_string(),
@@ -289,7 +294,6 @@ fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
             // The crash landed inside the header write of a fresh segment: nothing of
             // value was lost (rotation only happens between records).
             return Ok(SegmentScan {
-                records: Vec::new(),
                 valid_end: 0,
                 torn: true,
             });
@@ -302,7 +306,6 @@ fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
     if bytes.get(..8) != Some(SEGMENT_MAGIC.as_slice()) {
         return Err(corrupt(0, "bad segment magic".to_string()));
     }
-    let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN as usize;
     let mut torn = false;
     while offset < bytes.len() {
@@ -367,7 +370,6 @@ fn scan_segment(path: &Path, is_last: bool) -> Result<SegmentScan> {
         offset = payload_start + len;
     }
     Ok(SegmentScan {
-        records,
         valid_end: offset.min(bytes.len()) as u64,
         torn,
     })
@@ -392,8 +394,7 @@ fn scan_dir(dir: &Path) -> Result<(JournalContents, Option<Tail>)> {
     let mut tail = None;
     for (i, (index, path)) in segments.into_iter().enumerate() {
         let is_last = i + 1 == count;
-        let scan = scan_segment(&path, is_last)?;
-        records.extend(scan.records);
+        let scan = scan_segment(&path, is_last, &mut records)?;
         if is_last {
             torn_tail = scan.torn;
             tail = Some(Tail {
