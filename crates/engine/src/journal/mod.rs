@@ -276,8 +276,7 @@ struct SegmentScan {
 /// Parse one segment. `is_last` controls torn-tail tolerance: damage that reaches the
 /// end of the **final** segment is a crash signature and is dropped; the same damage in
 /// an earlier segment (or damage that does *not* reach EOF) is corruption. Intact
-/// records are appended to `records`, the whole journal's list, so no per-segment
-/// list is built and copied over.
+/// records are appended to `records`, the whole journal's list.
 fn scan_segment(
     path: &Path,
     is_last: bool,
